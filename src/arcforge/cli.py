@@ -17,8 +17,9 @@ import numpy as np
 
 from .config import RunConfig, load_run_config
 from .conllu import Sentence, Token, Vocab, build_vocab, parse_conllu, write_conllu
-from .evaluation import uas_las
-from .model import build_model, load_checkpoint, save_checkpoint
+from .evaluation import PUNCT_POLICIES, uas_las
+from .model import DECODERS, build_model, load_checkpoint, save_checkpoint
+from .tensor import set_default_dtype
 from .training import end_to_end_grad_check, formula_param_count, train
 
 
@@ -43,23 +44,23 @@ def cmd_train(args) -> int:
     if not cfg.train_file:
         print("error: config needs train_file", file=sys.stderr)
         return 1
-    if cfg.dtype == "float32":
-        from .tensor import set_default_dtype
-
-        set_default_dtype(np.float32)
-    train_sents = _read_conllu_file(cfg.train_file)
-    dev_sents = _read_conllu_file(cfg.dev_file) if cfg.dev_file else []
-    vocab = build_vocab(train_sents, min_count=cfg.min_count)
-    model = build_model(cfg.model_config(vocab.n_labels), vocab, seed=cfg.seed)
-    metrics_path = cfg.metrics_out or cfg.model_out + ".metrics.jsonl"
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        result = train(model, train_sents, dev_sents, vocab, cfg.train_config(),
-                       log_fn=lambda row: fh.write(json.dumps(row) + "\n"))
-    model.load_state(result.best_state)
-    save_checkpoint(cfg.model_out, model, vocab,
-                    extra={"best_epoch": result.best_epoch, "best_las": result.best_las})
-    print(f"saved {cfg.model_out} (best epoch {result.best_epoch}, "
-          f"dev LAS {result.best_las:.2f}); metrics in {metrics_path}")
+    previous_dtype = set_default_dtype(cfg.dtype)
+    try:
+        train_sents = _read_conllu_file(cfg.train_file)
+        dev_sents = _read_conllu_file(cfg.dev_file) if cfg.dev_file else []
+        vocab = build_vocab(train_sents, min_count=cfg.min_count)
+        model = build_model(cfg.model_config(vocab.n_labels), vocab, seed=cfg.seed)
+        metrics_path = cfg.metrics_out or cfg.model_out + ".metrics.jsonl"
+        with open(metrics_path, "w", encoding="utf-8") as fh:
+            result = train(model, train_sents, dev_sents, vocab, cfg.train_config(),
+                           log_fn=lambda row: fh.write(json.dumps(row) + "\n"))
+        model.load_state(result.best_state)
+        save_checkpoint(cfg.model_out, model, vocab,
+                        extra={"best_epoch": result.best_epoch, "best_las": result.best_las})
+    finally:
+        set_default_dtype(previous_dtype)
+    dev = "no dev set" if result.best_las is None else f"dev LAS {result.best_las:.2f}"
+    print(f"saved {cfg.model_out} (best epoch {result.best_epoch}, {dev}); metrics in {metrics_path}")
     return 0
 
 
@@ -136,18 +137,15 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     if cfg.train_file:
         vocab = build_vocab(_read_conllu_file(cfg.train_file), min_count=cfg.min_count)
-        forms = sorted(vocab.form_to_id)
-        upos = sorted(vocab.upos_to_id)
-        labels = sorted(vocab.label_to_id)
     else:
         vocab = Vocab(
             form_to_id={f"w{i}": 2 + i for i in range(8)},
             upos_to_id={"N": 2, "V": 3},
             label_to_id={"root": 0, "dep": 1},
         )
-        forms = sorted(vocab.form_to_id)
-        upos = sorted(vocab.upos_to_id)
-        labels = sorted(vocab.label_to_id)
+    forms = sorted(vocab.form_to_id)
+    upos = sorted(vocab.upos_to_id)
+    labels = sorted(vocab.label_to_id)
     heads = [2, 0, 2, 3]  # a fixed 4-token tree; forms/tags drawn from the vocab
     tokens = [
         Token(form=forms[int(rng.integers(len(forms)))],
@@ -177,14 +175,14 @@ def main(argv=None) -> int:
     p_parse = sub.add_parser("parse", help="parse a CoNLL-U file with a checkpoint")
     p_parse.add_argument("--model", required=True)
     p_parse.add_argument("--input", required=True)
-    p_parse.add_argument("--decoder", choices=("eisner", "mst"), default="eisner")
+    p_parse.add_argument("--decoder", choices=DECODERS, default="eisner")
     p_parse.add_argument("--output", required=True)
     p_parse.set_defaults(fn=cmd_parse)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold")
     p_eval.add_argument("--gold", required=True)
     p_eval.add_argument("--pred", required=True)
-    p_eval.add_argument("--punct", choices=("keep", "upos", "pos-set"), default="keep")
+    p_eval.add_argument("--punct", choices=PUNCT_POLICIES, default="keep")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_params = sub.add_parser("params", help="closed-form vs registry parameter count")

@@ -1,58 +1,29 @@
 """Flat JSON run configuration shared by the CLI commands.
 
+Every ModelConfig and TrainConfig field is a key, with that class's
+default; RunConfig declares only the keys that belong to a run.
 Unknown keys are rejected; command-line flags override file values.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 
 from .model import ModelConfig
 from .training import TrainConfig
 
-_DECODERS = ("eisner", "mst")
-_PUNCT = ("keep", "upos", "pos-set")
+# ModelConfig fields that a run sets itself: kind comes from model_kind,
+# n_labels from the training corpus
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name not in ("kind", "n_labels"))
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 
 @dataclass
-class RunConfig:
+class _RunKeys:
     model_kind: str = "arcloc"
-    # dimensions
-    emb_dim: int = 64
-    context_layers: int = 2
-    context_heads: int | None = None
-    x: int | None = None
-    y: int | None = None
-    d: int | None = None
-    r: int | None = None
-    layers: int = 0
-    k: int = 10
-    mlp_dropout: float = 0.33
-    emb_dropout: float = 0.0
-    use_upos: bool = True
-    exact_counts: bool = False
-    biaffine_bias: bool = False
-    gumbel_scale: float = 1.0
-    train_noise: bool = True
-    filter_aux_weight: float = 0.0
-    # training
-    epochs: int = 10
-    batch_tokens: int = 5000
-    lr: float | None = None
-    lr_transformer: float = 2.5e-3
-    warmup_epochs: float = 1.0
-    warmup_epochs_transformer: float = 3.0
-    use_swa: bool = True
-    swa_start_epoch: int = 5
-    swa_lr: float | None = None
-    swa_lr_transformer: float = 1.35e-4
-    grad_clip: float | None = None
-    max_train_len: int = 128
+    emb_dim: int = 64  # ModelConfig has no default width
     min_count: int = 1
-    seed: int = 0
-    decoder: str = "eisner"
-    punct_policy: str = "keep"
     dtype: str = "float64"  # float32 trades exactness for training speed
     # paths and fixtures
     train_file: str | None = None
@@ -62,55 +33,28 @@ class RunConfig:
     n_labels: int | None = None
 
     def __post_init__(self):
-        if self.decoder not in _DECODERS:
-            raise ValueError(f"decoder must be one of {_DECODERS}, got {self.decoder!r}")
-        if self.punct_policy not in _PUNCT:
-            raise ValueError(f"punct_policy must be one of {_PUNCT}, got {self.punct_policy!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
+        self.train_config()  # rejects bad training keys before any work starts
 
     def model_config(self, n_labels: int) -> ModelConfig:
-        return ModelConfig(
-            kind=self.model_kind,
-            n_labels=n_labels,
-            emb_dim=self.emb_dim,
-            context_layers=self.context_layers,
-            context_heads=self.context_heads,
-            x=self.x,
-            y=self.y,
-            d=self.d,
-            r=self.r,
-            layers=self.layers,
-            k=self.k,
-            mlp_dropout=self.mlp_dropout,
-            emb_dropout=self.emb_dropout,
-            use_upos=self.use_upos,
-            exact_counts=self.exact_counts,
-            biaffine_bias=self.biaffine_bias,
-            gumbel_scale=self.gumbel_scale,
-            train_noise=self.train_noise,
-            filter_aux_weight=self.filter_aux_weight,
-        )
+        return ModelConfig(kind=self.model_kind, n_labels=n_labels,
+                           **{k: getattr(self, k) for k in _MODEL_KEYS})
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_tokens=self.batch_tokens,
-            lr=self.lr,
-            lr_transformer=self.lr_transformer,
-            warmup_epochs=self.warmup_epochs,
-            warmup_epochs_transformer=self.warmup_epochs_transformer,
-            use_swa=self.use_swa,
-            swa_start_epoch=self.swa_start_epoch,
-            swa_lr=self.swa_lr,
-            swa_lr_transformer=self.swa_lr_transformer,
-            seed=self.seed,
-            grad_clip=self.grad_clip,
-            max_train_len=self.max_train_len,
-            decoder=self.decoder,
-            punct_policy=self.punct_policy,
-        )
+        return TrainConfig(**{k: getattr(self, k) for k in _TRAIN_KEYS})
 
+
+_RUN_KEYS = {f.name for f in fields(_RunKeys)}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=f.default))
+     for f in fields(ModelConfig) + fields(TrainConfig)
+     if f.name in _MODEL_KEYS + _TRAIN_KEYS and f.name not in _RUN_KEYS],
+    bases=(_RunKeys,),
+    namespace={"__module__": __name__},
+)
 
 _KNOWN_KEYS = {f.name for f in fields(RunConfig)}
 

@@ -10,7 +10,7 @@ optionally refined by transformer layers over the filtered arc set.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -20,11 +20,13 @@ from .decoders import cle, eisner, tree_score
 from .encoder import Encoder, EncoderConfig, Specialization
 from .nn import Module, ModuleList
 from .refiner import FilterOutput, TransformerLayer, filter_topk, num_heads, refine
-from .scorers import ArcScorer, LocScorer, decode_scores
+from .scorers import ArcScorer, LocScorer
 from .tensor import Tensor, embedding_gather
 
 CHECKPOINT_FORMAT = "arcforge-checkpoint"
 CHECKPOINT_VERSION = 1
+
+DECODERS = ("eisner", "mst")  # projective Eisner, or Chu-Liu-Edmonds
 
 
 @dataclass
@@ -96,28 +98,8 @@ class _ParserBase(Module):
         super().__init__()
         self.cfg = cfg
         self.rng = np.random.default_rng(seed)
-        self.encoder = Encoder(
-            n_forms,
-            n_upos,
-            EncoderConfig(
-                emb_dim=cfg.emb_dim,
-                context_layers=cfg.context_layers,
-                context_heads=cfg.context_heads,
-                emb_dropout=cfg.emb_dropout,
-                use_upos=cfg.use_upos,
-                exact_counts=cfg.exact_counts,
-            ),
-            self.rng,
-        )
-
-    def specialize(self, embedded: Tensor, role: str) -> Tensor:
-        spec = self._specializations().get(role)
-        if spec is None:
-            raise ValueError(f"unknown specialization role {role!r}; have {sorted(self._specializations())}")
-        return spec(embedded)
-
-    def _specializations(self) -> dict[str, Specialization]:
-        raise NotImplementedError
+        enc_cfg = EncoderConfig(**{f.name: getattr(cfg, f.name) for f in fields(EncoderConfig)})
+        self.encoder = Encoder(n_forms, n_upos, enc_cfg, self.rng)
 
     def forward_parse(self, sentence: Sentence, vocab: Vocab) -> ForwardPass:
         raise NotImplementedError
@@ -147,10 +129,10 @@ class _ParserBase(Module):
 
     def predict(self, sentence: Sentence, vocab: Vocab, decoder: str = "eisner") -> ParseResult:
         """Decode the best tree, then label its arcs (pipeline prediction)."""
-        if decoder not in ("eisner", "mst"):
+        if decoder not in DECODERS:
             raise ValueError(f"unknown decoder {decoder!r}")
         fwd = self.forward_parse(sentence, vocab)
-        s = decode_scores(fwd.scores, fwd.n)
+        s = fwd.scores.data  # the decoders ignore the masked diagonal and root column
         heads = eisner(s) if decoder == "eisner" else cle(s)
         arcs = [(heads[j - 1], j) for j in range(1, fwd.n + 1)]
         if arcs:
@@ -173,14 +155,6 @@ class LocModel(_ParserBase):
         self.spec_label_head = Specialization(cfg.emb_dim, cfg.y, rng, drop, pe)
         self.spec_label_mod = Specialization(cfg.emb_dim, cfg.y, rng, drop, pe)
         self.scorer = LocScorer(cfg.x, cfg.y, cfg.n_labels, rng, biaffine_bias=cfg.biaffine_bias)
-
-    def _specializations(self):
-        return {
-            "arc-head": self.spec_arc_head,
-            "arc-mod": self.spec_arc_mod,
-            "label-head": self.spec_label_head,
-            "label-mod": self.spec_label_mod,
-        }
 
     def forward_parse(self, sentence: Sentence, vocab: Vocab) -> ForwardPass:
         n = len(sentence)
@@ -209,9 +183,6 @@ class ArcLocModel(_ParserBase):
             TransformerLayer(cfg.r, num_heads(cfg.r), rng, exact_counts=pe)
             for _ in range(cfg.layers)
         )
-
-    def _specializations(self):
-        return {"unified-head": self.spec_head, "unified-mod": self.spec_mod}
 
     def accounted_parameters(self):
         out = []

@@ -26,15 +26,6 @@ from .tensor import (
 MASK_VALUE = -1e9
 
 
-def arc_mask(n: int, neg: float = MASK_VALUE) -> np.ndarray:
-    """(n+1)x(n+1) additive mask: diagonal and arcs into the root get
-    ``neg``, everything else 0. The root may only ever be a head."""
-    m = np.zeros((n + 1, n + 1))
-    np.fill_diagonal(m, neg)
-    m[:, 0] = neg
-    return m
-
-
 def apply_arc_mask(s: Tensor, n: int, neg: float = MASK_VALUE) -> Tensor:
     """Set invalid cells (diagonal, arcs into root) to exactly ``neg``;
     valid cells and their gradients pass through unchanged."""
@@ -42,14 +33,6 @@ def apply_arc_mask(s: Tensor, n: int, neg: float = MASK_VALUE) -> Tensor:
     np.fill_diagonal(keep, 0.0)
     keep[:, 0] = 0.0
     return s * Tensor(keep) + Tensor((1.0 - keep) * neg)
-
-
-def decode_scores(s: Tensor | np.ndarray, n: int) -> np.ndarray:
-    """Score matrix for the decoders: true -inf on invalid cells."""
-    arr = (s.data if isinstance(s, Tensor) else np.asarray(s)).copy()
-    np.fill_diagonal(arr, -np.inf)
-    arr[:, 0] = -np.inf
-    return arr
 
 
 def _ones_column(x: Tensor) -> Tensor:
@@ -129,11 +112,6 @@ class ArcScorer(Module):
     def label_head(self, v_rows: Tensor) -> Tensor:
         """Label logits per arc vector row; returns (t, L)."""
         return self.label_out(relu(self.label_hidden(v_rows)))
-
-    def filter_logit(self, v_rows: Tensor) -> Tensor:
-        if self.filter_head is None:
-            raise ValueError("this scorer was built without a filter head")
-        return self.filter_head(v_rows)
 
     def score_matrix_from(self, v_flat: Tensor, n: int) -> Tensor:
         """Masked (n+1)x(n+1) score matrix read from flat arc vectors."""

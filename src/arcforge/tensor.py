@@ -18,11 +18,8 @@ import numpy as np
 
 _DEFAULT_DTYPE = np.float64
 
-_erf = np.vectorize(math.erf, otypes=[np.float64])
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for new leaf tensors.
+def set_default_dtype(dtype):
+    """Set the dtype used for new leaf tensors; return the previous one.
 
     64-bit is required for tests and gradient checks; 32-bit is an
     opt-in for training speed.
@@ -31,11 +28,8 @@ def set_default_dtype(dtype) -> None:
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype: {dtype!r}")
-    _DEFAULT_DTYPE = dt.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
+    previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt.type
+    return previous
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -98,16 +92,6 @@ class Tensor:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{req})"
 
-    def detach(self) -> "Tensor":
-        """Forward identity whose gradient path is severed exactly."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._prev = ()
-        out._backward = None
-        return out
-
     # -- autodiff core -----------------------------------------------
 
     def backward(self) -> None:
@@ -164,9 +148,6 @@ class Tensor:
 
     def sum(self, axis=None) -> "Tensor":
         return tsum(self, axis)
-
-    def mean(self, axis=None) -> "Tensor":
-        return tmean(self, axis)
 
     def relu(self) -> "Tensor":
         return relu(self)
@@ -225,20 +206,6 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    x = a.data
-    cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
-    out = Tensor._from_op(x * cdf, (a,))
-
-    def _bw():
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        _accum(a, out.grad * (cdf + x * pdf))
-
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
 def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: scales kept activations by 1/(1-p) at train time.
 
@@ -288,24 +255,6 @@ def transpose(a: Tensor) -> Tensor:
 
     def _bw():
         _accum(a, out.grad.T)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
-def bilinear(h: Tensor, t: Tensor, m: Tensor) -> Tensor:
-    """out[c] = sum_{a,b} h[a] * t[a,c,b] * m[b]."""
-    if h.data.ndim != 1 or m.data.ndim != 1 or t.data.ndim != 3:
-        raise ValueError(f"bilinear expects (d,), (d,r,d), (d,); got {h.data.shape}, {t.data.shape}, {m.data.shape}")
-    if t.data.shape[0] != h.data.shape[0] or t.data.shape[2] != m.data.shape[0]:
-        raise ValueError(f"bilinear dimension mismatch: {h.data.shape}, {t.data.shape}, {m.data.shape}")
-    out = Tensor._from_op(np.einsum("a,acb,b->c", h.data, t.data, m.data), (h, t, m))
-
-    def _bw():
-        g = out.grad
-        _accum(h, np.einsum("c,acb,b->a", g, t.data, m.data))
-        _accum(t, np.einsum("a,c,b->acb", h.data, g, m.data))
-        _accum(m, np.einsum("a,acb,c->b", h.data, t.data, g))
 
     out._backward = _bw if out.requires_grad else None
     return out
@@ -457,20 +406,6 @@ def tsum(a: Tensor, axis=None) -> Tensor:
     return out
 
 
-def tmean(a: Tensor, axis=None) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    out = Tensor._from_op(np.mean(a.data, axis=axis), (a,))
-
-    def _bw():
-        g = out.grad / count
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
-
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax; -inf entries yield exact zeros.
 
@@ -559,8 +494,8 @@ def straight_through(hard: Tensor, surrogate: Tensor) -> Tensor:
     """Forward takes ``hard``'s values bitwise; backward routes the whole
     gradient into ``surrogate`` and none into ``hard``.
 
-    Equivalent to hard - detach(surrogate) + surrogate, without the
-    floating-point cancellation.
+    Equivalent to hard - surrogate + surrogate with the gradient stopped
+    on the subtracted term, without the floating-point cancellation.
     """
     if hard.data.shape != surrogate.data.shape:
         raise ValueError(f"straight_through shape mismatch: {hard.data.shape} vs {surrogate.data.shape}")

@@ -10,9 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conllu import Sentence, Vocab
-from .evaluation import filter_oracle_uas, uas_las
-from .model import _ParserBase
-from .tensor import Tensor, cross_entropy_from_logits, narrow, transpose
+from .evaluation import PUNCT_POLICIES, filter_oracle_uas, uas_las
+from .model import DECODERS, _ParserBase
+from .scorers import apply_arc_mask
+from .tensor import Tensor, cross_entropy_from_logits, grad_check, narrow, reshape, transpose
 
 log = logging.getLogger("arcforge")
 
@@ -43,6 +44,10 @@ class TrainConfig:
             raise ValueError("epochs and batch_tokens must be positive")
         if self.use_swa and not 1 <= self.swa_start_epoch <= self.epochs + 1:
             raise ValueError("swa_start_epoch must be in [1, epochs + 1]")
+        if self.decoder not in DECODERS:
+            raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
+        if self.punct_policy not in PUNCT_POLICIES:
+            raise ValueError(f"punct_policy must be one of {PUNCT_POLICIES}, got {self.punct_policy!r}")
 
     def resolved_lr(self, kind: str) -> float:
         return self.lr if self.lr is not None else DEFAULT_LR[kind]
@@ -82,16 +87,13 @@ def sentence_loss(model: _ParserBase, sentence: Sentence, vocab: Vocab) -> Tenso
     When filter_aux_weight > 0 and the filter ran, a head-selection loss
     over the raw filter logits is added with that weight.
     """
-    from .scorers import apply_arc_mask
-    from .tensor import reshape
-
     fwd = model.forward_parse(sentence, vocab)
     heads = sentence.gold_heads
     loss = head_selection_loss(fwd.scores, heads)
     gold_arcs = [(h, j) for j, h in enumerate(heads, start=1)]
     gold_ids = [vocab.label_id(lab) for lab in sentence.gold_labels]
     loss = loss + label_loss(fwd.label_logits_for(gold_arcs), gold_ids)
-    aux_w = getattr(model.cfg, "filter_aux_weight", 0.0)
+    aux_w = model.cfg.filter_aux_weight
     if aux_w > 0.0 and fwd.filter_output is not None and fwd.filter_output.logits_flat is not None:
         n = fwd.n
         logit_matrix = apply_arc_mask(reshape(fwd.filter_output.logits_flat, (n + 1, n + 1)), n)
@@ -237,8 +239,6 @@ def end_to_end_grad_check(model: _ParserBase, sentence: Sentence, vocab: Vocab,
     straight-through training gradient intentionally differs from the
     true forward derivative and is verified analytically, not here.)
     """
-    from .tensor import grad_check
-
     rng = rng or np.random.default_rng(0)
     was_training = model.training
     model.eval()
@@ -280,7 +280,7 @@ def make_batches(sentences: list[Sentence], batch_tokens: int,
 class TrainResult:
     best_state: dict[str, np.ndarray]
     best_epoch: int
-    best_las: float
+    best_las: float | None  # None when there was no dev set
     metrics: list[dict] = field(default_factory=list)
 
 
@@ -323,7 +323,7 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
     optimizer = Adam(model.optimizer_groups())
     swa = SwaState()
     shuffle_rng = np.random.default_rng(cfg.seed)
-    best_state, best_epoch, best_las = model.state_dict(), 0, -1.0
+    best_state, best_epoch, best_las = model.state_dict(), 0, None
     metrics: list[dict] = []
 
     for epoch in range(1, cfg.epochs + 1):
@@ -376,7 +376,7 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
         metrics.append(row)
         if log_fn is not None:
             log_fn(row)
-        if dev["las"] is not None and dev["las"] > best_las:
+        if dev["las"] is not None and (best_las is None or dev["las"] > best_las):
             best_las, best_epoch, best_state = dev["las"], epoch, eval_state
         if early_stop_fn is not None and early_stop_fn(epoch, model):
             break

@@ -1,12 +1,18 @@
 """CLI tests: command contracts and the train/parse/eval pipeline."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arcforge.cli import main
+from arcforge.config import RunConfig
 from arcforge.conllu import parse_conllu, write_conllu
+from arcforge.model import load_checkpoint
+from arcforge.tensor import set_default_dtype
 from toygrammar import make_corpus
 
 GOLD = """1\tdogs\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_
@@ -196,3 +202,48 @@ class TestTrainParseEvalPipeline:
         rows_b = [json.loads(line) for line in open(model_path + ".metrics.jsonl")]
         assert a == b == 0
         assert rows_a == rows_b
+
+
+class TestTrainCommand:
+    SMALL = {"model_kind": "arcloc", "emb_dim": 16, "context_layers": 0, "d": 8, "r": 8,
+             "mlp_dropout": 0.0, "epochs": 1, "lr": 1e-3, "use_swa": False}
+
+    def test_float32_train_leaves_gradcheck_in_64_bit(self, toy_files, tmp_path, capsys):
+        train_path, _, _ = toy_files
+        train_cfg = write(tmp_path / "train.json", json.dumps({
+            **self.SMALL, "dtype": "float32",
+            "train_file": train_path, "model_out": str(tmp_path / "m.npz"),
+        }))
+        check_cfg = write(tmp_path / "check.json", json.dumps({
+            "model_kind": "arcloc", "emb_dim": 16, "context_layers": 1,
+            "d": 8, "r": 8, "layers": 1, "k": 2,
+            "mlp_dropout": 0.0, "emb_dropout": 0.0,
+        }))
+        try:
+            assert main(["train", "--config", train_cfg]) == 0
+            assert main(["gradcheck", "--config", check_cfg, "--seed", "3"]) == 0
+        finally:
+            set_default_dtype(np.float64)
+
+    def test_no_dev_set_reported_and_stored_as_null(self, toy_files, tmp_path, capsys):
+        train_path, _, _ = toy_files
+        model_path = str(tmp_path / "m.npz")
+        cfg = write(tmp_path / "cfg.json", json.dumps({
+            **self.SMALL, "train_file": train_path, "model_out": model_path,
+        }))
+        assert main(["train", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "no dev set" in out and "LAS" not in out
+        _, _, extra = load_checkpoint(model_path)
+        assert extra["best_las"] is None
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | meaning |")[1].split("\n\n")[0]
+    documented = set()
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            key_column = re.sub(r"\([^)]*\)", "", row.split("|")[1])  # drop "(default)" notes
+            documented.update(re.findall(r"`(\w+)`", key_column))
+    assert documented == {f.name for f in fields(RunConfig)}

@@ -121,8 +121,8 @@ class TestSpecialization:
         from arcforge.tensor import Tensor
 
         e = Tensor(np.random.default_rng(6).normal(size=(3, 32)))
-        assert model.specialize(e, "arc-head").data.shape == (3, 900)
-        assert model.specialize(e, "label-mod").data.shape == (3, 150)
+        assert model.spec_arc_head(e).data.shape == (3, 900)
+        assert model.spec_label_mod(e).data.shape == (3, 150)
 
     def test_loc_has_four_specializations_arcloc_two(self, small_vocab):
         loc = LocModel(ModelConfig(kind="loc", n_labels=2, emb_dim=8, context_layers=0, x=4, y=4),
@@ -134,14 +134,6 @@ class TestSpecialization:
         assert len({n.split(".")[0] for n in loc_specs}) == 4
         assert len({n.split(".")[0] for n in arc_specs}) == 2
 
-    def test_unknown_role_rejected(self, small_vocab):
-        model = LocModel(ModelConfig(kind="loc", n_labels=2, emb_dim=8, context_layers=0, x=4, y=4),
-                         small_vocab.n_forms, small_vocab.n_upos)
-        from arcforge.tensor import Tensor
-
-        with pytest.raises(ValueError, match="unknown specialization role"):
-            model.specialize(Tensor(np.zeros((2, 8))), "verb-head")
-
     def test_arcloc_unified_roles(self, small_vocab):
         model = ArcLocModel(ModelConfig(kind="arcloc", n_labels=2, emb_dim=8, context_layers=0, d=4, r=4),
                             small_vocab.n_forms, small_vocab.n_upos)
@@ -149,10 +141,8 @@ class TestSpecialization:
         from arcforge.tensor import Tensor
 
         e = Tensor(np.random.default_rng(8).normal(size=(3, 8)))
-        assert model.specialize(e, "unified-head").data.shape == (3, 4)
-        assert model.specialize(e, "unified-mod").data.shape == (3, 4)
-        with pytest.raises(ValueError, match="unknown specialization role"):
-            model.specialize(e, "arc-head")
+        assert model.spec_head(e).data.shape == (3, 4)
+        assert model.spec_mod(e).data.shape == (3, 4)
 
     def test_exact_counts_drops_bias(self):
         rng = np.random.default_rng(7)

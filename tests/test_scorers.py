@@ -3,26 +3,12 @@
 import numpy as np
 import pytest
 
-from arcforge.scorers import MASK_VALUE, ArcScorer, LocScorer, arc_mask, decode_scores
+from arcforge.scorers import MASK_VALUE, ArcScorer, LocScorer
 from arcforge.tensor import Tensor, softmax
 
 
 def tt(a):
     return Tensor(np.asarray(a, dtype=np.float64), requires_grad=True)
-
-
-class TestArcMask:
-    def test_diagonal_and_root_column(self):
-        m = arc_mask(3)
-        assert np.all(np.diag(m) == MASK_VALUE)
-        assert np.all(m[:, 0] == MASK_VALUE)
-        assert m[0, 1] == 0.0 and m[2, 3] == 0.0
-
-    def test_decode_scores_true_neg_inf(self):
-        s = decode_scores(np.ones((3, 3)), 2)
-        assert np.all(np.isneginf(np.diag(s)))
-        assert np.all(np.isneginf(s[:, 0]))
-        assert s[0, 2] == 1.0
 
 
 class TestLocScorer:
@@ -263,13 +249,12 @@ class TestFilterLogit:
         rng = np.random.default_rng(18)
         scorer = ArcScorer(d=2, r=4, n_labels=2, rng=rng, with_filter=True)
         rows = rng.normal(size=(5, 4))
-        logits = scorer.filter_logit(tt(rows)).data[:, 0]
+        logits = scorer.filter_head(tt(rows)).data[:, 0]
         order = sorted(range(5), key=lambda i: (-logits[i], i))
         from arcforge.tensor import argsort_descending
 
         assert argsort_descending(logits).tolist() == order
 
-    def test_missing_filter_head_raises(self):
+    def test_no_filter_head_by_default(self):
         scorer = ArcScorer(d=2, r=4, n_labels=2, rng=np.random.default_rng(19))
-        with pytest.raises(ValueError, match="without a filter head"):
-            scorer.filter_logit(tt(np.zeros((1, 4))))
+        assert scorer.filter_head is None

@@ -41,27 +41,6 @@ class TestMatmul:
 
 
 class TestBilinear:
-    def test_scalar_case(self):
-        out = T.bilinear(tt([2.0]), tt([[[3.0]]]), tt([5.0]))
-        assert out.data.tolist() == [30.0]
-
-    def test_zero_tensor(self):
-        rng = np.random.default_rng(1)
-        h, m = tt(rng.normal(size=4)), tt(rng.normal(size=4))
-        out = T.bilinear(h, tt(np.zeros((4, 3, 4))), m)
-        assert np.array_equal(out.data, np.zeros(3))
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(2)
-        h, w, m = rng.normal(size=3), rng.normal(size=(3, 2, 3)), rng.normal(size=3)
-        ref = np.zeros(2)
-        for c in range(2):
-            for a in range(3):
-                for b in range(3):
-                    ref[c] += h[a] * w[a, c, b] * m[b]
-        out = T.bilinear(tt(h), tt(w), tt(m))
-        assert np.max(np.abs(out.data - ref)) < 1e-12
-
     def test_pairwise_against_loop(self):
         rng = np.random.default_rng(3)
         H, w, M = rng.normal(size=(4, 3)), rng.normal(size=(3, 2, 3)), rng.normal(size=(4, 3))
@@ -108,26 +87,6 @@ class TestSoftmax:
     def test_fully_masked_row_raises(self):
         with pytest.raises(ValueError, match="masked"):
             T.softmax(tt([-np.inf, -np.inf]))
-
-
-class TestDetach:
-    def test_forward_identity_bitwise(self):
-        x = tt([[1.0, -2.5], [3.25, 0.0]])
-        assert np.array_equal(x.detach().data, x.data)
-
-    def test_product_rule_with_constant_factor(self):
-        x = tt([3.0])
-        y = T.tsum(x.detach() * x)
-        y.backward()
-        assert x.grad.tolist() == [3.0]
-
-    def test_all_grads_zero_through_detach(self):
-        rng = np.random.default_rng(7)
-        v = tt(rng.normal(size=(3, 4)))
-        w = tt(rng.normal(size=(4, 2)))
-        loss = T.tsum(T.matmul(v, w).detach())
-        loss.backward()
-        assert v.grad is None and w.grad is None
 
 
 class TestLayerNorm:
@@ -267,12 +226,6 @@ def _gradcheck_cases():
         a, b = rand(m, k), rand(k, n)
         cases.append((f"matmul/{i}", a, lambda a=a, b=b: T.tsum(T.matmul(a, b) * T.matmul(a, b))))
         cases.append((f"matmul-rhs/{i}", b, lambda a=a, b=b: T.tsum(T.matmul(a, b))))
-    for i in range(3):
-        d, r = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        h, w, m2 = rand(d), rand(d, r, d), rand(d)
-        for name, th in (("h", h), ("T", w), ("m", m2)):
-            cases.append((f"bilinear-{name}/{i}", th,
-                          lambda h=h, w=w, m2=m2: T.tsum(T.bilinear(h, w, m2) * T.bilinear(h, w, m2))))
     for i in range(2):
         p, d, r = 3, 3, 2
         H, w, M = rand(p, d), rand(d, r, d), rand(p, d)
@@ -282,8 +235,6 @@ def _gradcheck_cases():
         x = rand(int(rng.integers(2, 5)), int(rng.integers(2, 6)))
         cases.append((f"softmax/{i}", x, lambda x=x: T.tsum(T.softmax(x, axis=-1) * T.softmax(x, axis=-1))))
         cases.append((f"relu/{i}", x, lambda x=x: T.tsum(T.relu(x))))
-        cases.append((f"gelu/{i}", x, lambda x=x: T.tsum(T.gelu(x))))
-        cases.append((f"mean/{i}", x, lambda x=x: T.tmean(x)))
         cases.append((f"sum-axis/{i}", x, lambda x=x: T.tsum(T.tsum(x, axis=0) * T.tsum(x, axis=0))))
     for i in range(3):
         x = rand(3, int(rng.integers(4, 9)))
@@ -327,11 +278,6 @@ def _op_family_case(op, rng):
         m, k, n = rng.integers(2, 7, size=3)
         a, b = rand(m, k), rand(k, n)
         return a, lambda: T.tsum(T.matmul(a, b) * T.matmul(a, b))
-    if op == "bilinear":
-        d, r = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        h, w, m = rand(d), rand(d, r, d), rand(d)
-        theta = [h, w, m][int(rng.integers(3))]
-        return theta, lambda: T.tsum(T.bilinear(h, w, m) * T.bilinear(h, w, m))
     if op == "pairwise_bilinear":
         p, q, d, r = (int(rng.integers(2, 5)) for _ in range(4))
         H, w, M = rand(p, d), rand(d, r, d), rand(q, d)
@@ -348,9 +294,6 @@ def _op_family_case(op, rng):
     if op == "relu":
         x = rand(int(rng.integers(2, 6)), int(rng.integers(2, 7)))
         return x, lambda: T.tsum(T.relu(x) * T.relu(x))
-    if op == "gelu":
-        x = rand(int(rng.integers(2, 6)), int(rng.integers(2, 7)))
-        return x, lambda: T.tsum(T.gelu(x))
     if op == "layer_norm":
         x = rand(int(rng.integers(2, 5)), int(rng.integers(3, 9)))
         g, b = rand(x.data.shape[1]), rand(x.data.shape[1])
@@ -369,7 +312,7 @@ def _op_family_case(op, rng):
     if op == "reductions":
         x = rand(int(rng.integers(2, 6)), int(rng.integers(2, 6)))
         ax = int(rng.integers(2))
-        return x, lambda: T.tsum(T.tsum(x, axis=ax) * T.tmean(x, axis=ax))
+        return x, lambda: T.tsum(T.tsum(x, axis=ax) * T.tsum(x, axis=ax))
     if op == "elementwise":
         x, y = rand(3, 4), rand(3, 4)
         return x, lambda: T.tsum((x + y) * (-x) * y)
@@ -377,8 +320,8 @@ def _op_family_case(op, rng):
 
 
 OP_FAMILIES = [
-    "matmul", "bilinear", "pairwise_bilinear", "paired_bilinear", "softmax",
-    "relu", "gelu", "layer_norm", "cross_entropy", "gather_scatter",
+    "matmul", "pairwise_bilinear", "paired_bilinear", "softmax",
+    "relu", "layer_norm", "cross_entropy", "gather_scatter",
     "reductions", "elementwise",
 ]
 

@@ -316,6 +316,11 @@ class TestTrainLoop:
         assert len(res.metrics) == 1
         assert res.metrics[0]["dev_las"] is not None
 
+    @pytest.mark.parametrize("key,value", [("decoder", "chart"), ("punct_policy", "none")])
+    def test_bad_dev_settings_rejected_before_training(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+
     def test_early_stop_hook(self, toy_corpus, toy_vocab):
         model = build_model(toy_model_config(toy_vocab), toy_vocab, seed=0)
         res = train(model, toy_corpus[0], toy_corpus[1], toy_vocab,
