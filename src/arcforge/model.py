@@ -34,8 +34,8 @@ class ModelConfig:
     kind: str
     n_labels: int
     emb_dim: int
-    context_layers: int = 2
-    context_heads: int | None = None
+    context_layers: int = EncoderConfig.context_layers
+    context_heads: int | None = EncoderConfig.context_heads
     x: int | None = None
     y: int | None = None
     d: int | None = None
@@ -43,9 +43,9 @@ class ModelConfig:
     layers: int = 0
     k: int = 10
     mlp_dropout: float = 0.33
-    emb_dropout: float = 0.0
-    use_upos: bool = True
-    exact_counts: bool = False
+    emb_dropout: float = EncoderConfig.emb_dropout
+    use_upos: bool = EncoderConfig.use_upos
+    exact_counts: bool = EncoderConfig.exact_counts
     biaffine_bias: bool = False
     gumbel_scale: float = 1.0
     train_noise: bool = True

@@ -1,11 +1,13 @@
 """Transformer refinement of arc vectors behind a differentiable top-k filter.
 
-The filter keeps the k most probable head candidates per modifier. Kept
-vectors pass jointly through the encoder layers as one sequence (no
-positional encodings: arcs are a set, identified by content); discarded
-vectors are final. At train time the kept vectors are straight-through
-nodes: forward values are the hard selections bitwise, gradients flow
-through the softmax-weighted expectation of the candidate vectors.
+The filter keeps the k most probable head candidates per modifier,
+choosing for all modifiers at once from one modifier-by-head logit
+matrix. Kept vectors pass jointly through the encoder layers as one
+sequence (no positional encodings: arcs are a set, identified by
+content); discarded vectors are final. At train time the kept vectors
+are straight-through nodes: forward values are the hard selections
+bitwise, gradients flow through the softmax-weighted expectation of the
+candidate vectors, computed for every modifier in one batched product.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .nn import Linear, Module, ModuleList, glorot_uniform
 from .tensor import (
     Tensor,
+    arc_expectation,
     argsort_descending,
     concat,
     embedding_gather,
@@ -133,8 +136,11 @@ class TransformerLayer(Module):
 class FilterOutput:
     """Per-modifier kept head lists (most to least probable) plus the kept
     vectors as one sequence, aligned with kept_flat_idx into the flat
-    (n+1)^2 x r arc grid. logits_flat holds the noiseless filter logits
-    for every arc cell (for diagnostics and the optional auxiliary loss)."""
+    (n+1)^2 x r arc grid, modifier by modifier. discarded_flat_idx lists
+    the other candidate cells in ascending order. probs[j-1] holds
+    modifier j's filter probabilities over heads 0..n without j.
+    logits_flat holds the noiseless filter logits for every arc cell (for
+    diagnostics and the optional auxiliary loss)."""
 
     n: int
     k: int
@@ -151,11 +157,14 @@ def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
                 gumbel_scale: float = 1.0, st_grad: bool = True) -> FilterOutput:
     """Keep the k highest-scoring head candidates for each modifier.
 
-    Train mode adds Gumbel(0,1) noise (scaled) to the filter logits
-    before the softmax and the sort. Ties break toward the smaller head
-    index. With st_grad, kept vectors are straight-through nodes whose
-    backward path is the probability-weighted expectation of the
-    modifier's candidate vectors; otherwise they are plain gathers.
+    All modifiers are filtered at once on an (n, n+1) logit matrix whose
+    row j-1 holds modifier j's logits over heads 0..n, with -inf on the
+    cell where head equals modifier. Train mode adds Gumbel(0,1) noise
+    (scaled) to the candidate cells, drawn in row-major order, before a
+    row-wise softmax and a stable row-wise sort. Ties break toward the
+    smaller head index. With st_grad, kept vectors are straight-through
+    nodes whose backward path is the probability-weighted expectation of
+    the modifier's candidate vectors; otherwise they are plain gathers.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown filter mode {mode!r}")
@@ -165,47 +174,38 @@ def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
     if v0_flat.data.shape[0] != big_n * big_n:
         raise ValueError(f"arc grid has {v0_flat.data.shape[0]} rows, expected {big_n * big_n}")
     logits_all = filter_head(v0_flat)
-    kept_heads: list[list[int]] = []
-    kept_vecs: list[Tensor] = []
-    kept_flat: list[int] = []
-    probs_out: list[np.ndarray] = []
-    for j in range(1, big_n):
-        valid = [i for i in range(big_n) if i != j]
-        idx = [i * big_n + j for i in valid]
-        lg = reshape(embedding_gather(logits_all, idx), (len(valid),))
-        if mode == "train" and gumbel_scale > 0.0:
-            if rng is None:
-                raise ValueError("train-mode filter noise needs an rng")
-            lg = lg + Tensor(rng.gumbel(size=len(valid)) * gumbel_scale)
-        probs = softmax(lg)
-        order = argsort_descending(lg.data)
-        kept_count = min(k, len(valid))
-        heads_j = [valid[o] for o in order[:kept_count]]
-        kept_heads.append(heads_j)
-        probs_out.append(probs.data.copy())
-        expectation = None
-        if st_grad:
-            rows = embedding_gather(v0_flat, idx)
-            expectation = matmul(reshape(probs, (1, len(valid))), rows)
-        for h in heads_j:
-            hard = embedding_gather(v0_flat, [h * big_n + j])
-            kept_vecs.append(straight_through(hard, expectation) if st_grad else hard)
-            kept_flat.append(h * big_n + j)
-    kept_flat_arr = np.asarray(kept_flat, dtype=np.intp)
-    all_valid = np.asarray(
-        [i * big_n + j for j in range(1, big_n) for i in range(big_n) if i != j],
-        dtype=np.intp,
-    )
-    discarded = np.setdiff1d(all_valid, kept_flat_arr)
-    kept_vectors = concat(kept_vecs, axis=0) if kept_vecs else None
+    by_mod = narrow(transpose(reshape(logits_all, (big_n, big_n))), 0, 1, n)
+    mods = np.arange(1, big_n)
+    candidate = np.ones((n, big_n), dtype=bool)
+    candidate[mods - 1, mods] = False
+    offset = np.where(candidate, 0.0, -np.inf)
+    if mode == "train" and gumbel_scale > 0.0:
+        if rng is None:
+            raise ValueError("train-mode filter noise needs an rng")
+        offset[candidate] = rng.gumbel(size=n * n) * gumbel_scale
+    lg = by_mod + Tensor(offset)
+    probs = softmax(lg, axis=-1)
+    kept_count = min(k, n)
+    kept = argsort_descending(lg.data)[:, :kept_count]  # -inf sorts last, so never kept
+    kept_flat = (kept * big_n + mods[:, None]).reshape(-1)
+    kept_vectors = embedding_gather(v0_flat, kept_flat)
+    if st_grad:
+        # the zero probability on the diagonal drops the non-candidate V[j, j]
+        expectation = arc_expectation(probs, v0_flat)
+        kept_vectors = straight_through(
+            kept_vectors, embedding_gather(expectation, np.repeat(mods - 1, kept_count)))
+    discarded = np.ones((big_n, big_n), dtype=bool)
+    np.fill_diagonal(discarded, False)
+    discarded[:, 0] = False
+    discarded.reshape(-1)[kept_flat] = False
     return FilterOutput(
         n=n,
         k=k,
-        kept_heads=kept_heads,
-        kept_flat_idx=kept_flat_arr,
+        kept_heads=kept.tolist(),
+        kept_flat_idx=kept_flat,
         kept_vectors=kept_vectors,
-        discarded_flat_idx=discarded,
-        probs=probs_out,
+        discarded_flat_idx=np.flatnonzero(discarded),
+        probs=list(probs.data[candidate].reshape(n, n)),
         logits_flat=logits_all,
     )
 

@@ -2,8 +2,12 @@
 
 Values live in numpy arrays; every differentiable operation records a
 backward closure and its parents, and ``Tensor.backward()`` replays the
-tape in reverse topological order. The engine is deliberately small:
-just the operations the parsing models need, each one gradient-checked.
+tape in reverse topological order. A closure takes its output's gradient
+as an argument and holds no reference to the output, so a graph has no
+reference cycle and is freed as soon as its last tensor is dropped,
+without waiting for the cycle collector. The engine is deliberately
+small: just the operations the parsing models need, each one
+gradient-checked.
 
 Tensors are immutable after creation except for gradient accumulation
 (and optimizer updates to leaf parameters between graphs).
@@ -47,9 +51,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _accum(t: "Tensor", g: np.ndarray) -> None:
     if not t.requires_grad:
         return
+    if g.shape != t.data.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match tensor shape {t.data.shape}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
 
 
 class Tensor:
@@ -59,7 +66,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._prev: tuple = ()
 
     @classmethod
@@ -115,7 +122,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- operator sugar ----------------------------------------------
 
@@ -164,8 +171,7 @@ def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = Tensor._from_op(a.data + b.data, (a, b))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
 
@@ -176,8 +182,8 @@ def add(a, b) -> Tensor:
 def neg(a: Tensor) -> Tensor:
     out = Tensor._from_op(-a.data, (a,))
 
-    def _bw():
-        _accum(a, -out.grad)
+    def _bw(g):
+        _accum(a, -g)
 
     out._backward = _bw if out.requires_grad else None
     return out
@@ -187,8 +193,7 @@ def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = Tensor._from_op(a.data * b.data, (a, b))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
@@ -199,8 +204,8 @@ def mul(a, b) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out = Tensor._from_op(np.maximum(a.data, 0.0), (a,))
 
-    def _bw():
-        _accum(a, out.grad * (a.data > 0))
+    def _bw(g):
+        _accum(a, g * (a.data > 0))
 
     out._backward = _bw if out.requires_grad else None
     return out
@@ -221,8 +226,8 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
     mask = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
     out = Tensor._from_op(a.data * mask, (a,))
 
-    def _bw():
-        _accum(a, out.grad * mask)
+    def _bw(g):
+        _accum(a, g * mask)
 
     out._backward = _bw if out.requires_grad else None
     return out
@@ -239,8 +244,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul dimension mismatch: {a.data.shape} @ {b.data.shape}")
     out = Tensor._from_op(a.data @ b.data, (a, b))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
 
@@ -253,26 +257,35 @@ def transpose(a: Tensor) -> Tensor:
         raise ValueError(f"transpose expects a 2-D tensor, got shape {a.data.shape}")
     out = Tensor._from_op(a.data.T.copy(), (a,))
 
-    def _bw():
-        _accum(a, out.grad.T)
+    def _bw(g):
+        _accum(a, g.T)
 
     out._backward = _bw if out.requires_grad else None
     return out
 
 
 def pairwise_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
-    """All-pairs bilinear: out[i,j,c] = sum_{a,b} H[i,a] * t[a,c,b] * M[j,b]."""
+    """All-pairs bilinear: out[i,j,c] = sum_{a,b} H[i,a] * t[a,c,b] * M[j,b].
+
+    Contracts H with t first, so the cost is O(p*a*r*b + p*q*r*b)
+    rather than the O(p*q*a*r*b) of one three-operand contraction.
+    """
     if H.data.ndim != 2 or M.data.ndim != 2 or t.data.ndim != 3:
-        raise ValueError("pairwise_bilinear expects (p,d), (d,r,d), (q,d)")
+        raise ValueError("pairwise_bilinear expects (p,a), (a,r,b), (q,b)")
     if t.data.shape[0] != H.data.shape[1] or t.data.shape[2] != M.data.shape[1]:
         raise ValueError(f"pairwise_bilinear dimension mismatch: {H.data.shape}, {t.data.shape}, {M.data.shape}")
-    out = Tensor._from_op(np.einsum("ia,acb,jb->ijc", H.data, t.data, M.data), (H, t, M))
+    p, q = H.data.shape[0], M.data.shape[0]
+    a, r, b = t.data.shape
+    t_flat = t.data.reshape(a, r * b)
+    hr = (H.data @ t_flat).reshape(p * r, b)  # hr[i*r + c] = H[i] . t[:, c, :]
+    out = Tensor._from_op(
+        np.ascontiguousarray((hr @ M.data.T).reshape(p, r, q).transpose(0, 2, 1)), (H, t, M))
 
-    def _bw():
-        g = out.grad
-        _accum(H, np.einsum("ijc,acb,jb->ia", g, t.data, M.data))
-        _accum(t, np.einsum("ia,ijc,jb->acb", H.data, g, M.data))
-        _accum(M, np.einsum("ia,acb,ijc->jb", H.data, t.data, g))
+    def _bw(g):
+        gm = (g.transpose(0, 2, 1).reshape(p * r, q) @ M.data).reshape(p, r * b)
+        _accum(H, gm @ t_flat.T)
+        _accum(t, (H.data.T @ gm).reshape(a, r, b))
+        _accum(M, g.transpose(1, 0, 2).reshape(q, p * r) @ hr)
 
     out._backward = _bw if out.requires_grad else None
     return out
@@ -284,13 +297,39 @@ def paired_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
         raise ValueError(f"paired_bilinear row mismatch: {H.data.shape} vs {M.data.shape}")
     if t.data.shape[0] != H.data.shape[1] or t.data.shape[2] != M.data.shape[1]:
         raise ValueError(f"paired_bilinear dimension mismatch: {H.data.shape}, {t.data.shape}, {M.data.shape}")
-    out = Tensor._from_op(np.einsum("ia,acb,ib->ic", H.data, t.data, M.data), (H, t, M))
+    n = H.data.shape[0]
+    a, c, b = t.data.shape
+    t_flat = t.data.reshape(a, c * b)
+    hr = (H.data @ t_flat).reshape(n, c, b)
+    out = Tensor._from_op((hr @ M.data[:, :, None])[:, :, 0], (H, t, M))
 
-    def _bw():
-        g = out.grad
-        _accum(H, np.einsum("ic,acb,ib->ia", g, t.data, M.data))
-        _accum(t, np.einsum("ia,ic,ib->acb", H.data, g, M.data))
-        _accum(M, np.einsum("ia,acb,ic->ib", H.data, t.data, g))
+    def _bw(g):
+        gm = (g[:, :, None] * M.data[:, None, :]).reshape(n, c * b)
+        _accum(H, gm @ t_flat.T)
+        _accum(t, (H.data.T @ gm).reshape(a, c, b))
+        _accum(M, (g[:, None, :] @ hr)[:, 0, :])
+
+    out._backward = _bw if out.requires_grad else None
+    return out
+
+
+def arc_expectation(probs: Tensor, v_flat: Tensor) -> Tensor:
+    """Expected arc vector per modifier over its head distribution:
+    out[j-1] = sum_i probs[j-1, i] * V[i, j], with probs of shape
+    (n, n+1) and V the (n+1, n+1, r) arc grid that v_flat holds row-major.
+    Arcs into the root (V[:, 0]) are not read."""
+    n, big_n = probs.data.shape
+    if big_n != n + 1 or v_flat.data.shape[0] != big_n * big_n:
+        raise ValueError(f"arc_expectation shape mismatch: {probs.data.shape} vs {v_flat.data.shape}")
+    r = v_flat.data.shape[1]
+    by_mod = v_flat.data.reshape(big_n, big_n, r)[:, 1:, :].transpose(1, 0, 2)  # [j-1, i] = V[i, j]
+    out = Tensor._from_op((probs.data[:, None, :] @ by_mod)[:, 0, :], (probs, v_flat))
+
+    def _bw(g):
+        _accum(probs, (by_mod @ g[:, :, None])[:, :, 0])
+        gv = np.zeros((big_n, big_n, r), dtype=v_flat.data.dtype)
+        gv[:, 1:, :] = probs.data.T[:, :, None] * g[None, :, :]
+        _accum(v_flat, gv.reshape(big_n * big_n, r))
 
     out._backward = _bw if out.requires_grad else None
     return out
@@ -302,8 +341,8 @@ def paired_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor._from_op(a.data.reshape(shape), (a,))
 
-    def _bw():
-        _accum(a, out.grad.reshape(a.data.shape))
+    def _bw(g):
+        _accum(a, g.reshape(a.data.shape))
 
     out._backward = _bw if out.requires_grad else None
     return out
@@ -316,8 +355,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         offset = 0
         for t, s in zip(tensors, sizes):
             idx = [slice(None)] * g.ndim
@@ -337,9 +375,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = tuple(idx)
     out = Tensor._from_op(a.data[idx].copy(), (a,))
 
-    def _bw():
+    def _bw(g):
         buf = np.zeros_like(a.data)
-        buf[idx] = out.grad
+        buf[idx] = g
         _accum(a, buf)
 
     out._backward = _bw if out.requires_grad else None
@@ -355,9 +393,9 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
         raise ValueError(f"gather index out of range for table with {table.data.shape[0]} rows")
     out = Tensor._from_op(table.data[ids], (table,))
 
-    def _bw():
+    def _bw(g):
         buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, out.grad)
+        np.add.at(buf, ids, g)
         _accum(table, buf)
 
     out._backward = _bw if out.requires_grad else None
@@ -379,8 +417,7 @@ def row_scatter(base: Tensor, ids, rows: Tensor) -> Tensor:
     data[ids] = rows.data
     out = Tensor._from_op(data, (base, rows))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         gb = g.copy()
         gb[ids] = 0.0
         _accum(base, gb)
@@ -396,8 +433,7 @@ def row_scatter(base: Tensor, ids, rows: Tensor) -> Tensor:
 def tsum(a: Tensor, axis=None) -> Tensor:
     out = Tensor._from_op(np.sum(a.data, axis=axis), (a,))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
@@ -419,8 +455,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor._from_op(y, (a,))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         dot = np.sum(g * y, axis=axis, keepdims=True)
         _accum(a, y * (g - dot))
 
@@ -448,8 +483,7 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     prev = (a,) + tuple(p for p in (gain, bias) if p is not None)
     out = Tensor._from_op(data, prev)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if gain is not None:
             _accum(gain, (g * xhat).reshape(-1, width).sum(axis=0))
         if bias is not None:
@@ -479,8 +513,8 @@ def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
     losses = lse - x[np.arange(t), targets]
     out = Tensor._from_op(np.asarray(losses.mean()), (logits,))
 
-    def _bw():
-        g = float(out.grad)
+    def _bw(g):
+        g = float(g)
         p = np.exp(x - m)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(t), targets] -= 1.0
@@ -501,8 +535,8 @@ def straight_through(hard: Tensor, surrogate: Tensor) -> Tensor:
         raise ValueError(f"straight_through shape mismatch: {hard.data.shape} vs {surrogate.data.shape}")
     out = Tensor._from_op(hard.data.copy(), (surrogate,))
 
-    def _bw():
-        _accum(surrogate, out.grad)
+    def _bw(g):
+        _accum(surrogate, g)
 
     out._backward = _bw if out.requires_grad else None
     return out
@@ -512,11 +546,12 @@ def straight_through(hard: Tensor, surrogate: Tensor) -> Tensor:
 
 
 def argsort_descending(x) -> np.ndarray:
-    """Indices sorting a 1-D array high-to-low; ties keep ascending index."""
+    """Indices sorting along the last axis high-to-low; ties keep
+    ascending index."""
     arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if arr.ndim != 1:
-        raise ValueError(f"argsort_descending expects 1-D input, got shape {arr.shape}")
-    return np.argsort(-arr, kind="stable")
+    if arr.ndim < 1:
+        raise ValueError(f"argsort_descending expects at least 1-D input, got shape {arr.shape}")
+    return np.argsort(-arr, axis=-1, kind="stable")
 
 
 # -- verification harness ----------------------------------------------

@@ -72,6 +72,18 @@ class TestMapping:
         assert run.train_config().resolved_swa_lr("loc") == pytest.approx(5e-6)
         assert run.train_config().resolved_swa_lr("arcloc") == pytest.approx(3.7e-6)
 
+    def test_encoder_defaults_match_model_defaults(self):
+        from dataclasses import MISSING, fields
+
+        from arcforge.encoder import EncoderConfig
+        from arcforge.model import ModelConfig
+
+        model_defaults = {f.name: f.default for f in fields(ModelConfig)}
+        shared = [f for f in fields(EncoderConfig) if f.default is not MISSING]
+        assert len(shared) == 5
+        for f in shared:
+            assert model_defaults[f.name] == f.default, f.name
+
 
 class TestFloat32Mode:
     def test_float32_training_runs(self, tmp_path, toy_corpus, toy_vocab):
@@ -90,6 +102,41 @@ class TestFloat32Mode:
             assert np.isfinite(res.metrics[0]["train_loss"])
         finally:
             T.set_default_dtype(np.float64)
+
+    def test_float32_arcloc_training_graph_stays_float32(self, toy_corpus, toy_vocab):
+        from arcforge import tensor as T
+        from arcforge.model import ModelConfig, build_model
+        from arcforge.training import TrainConfig, sentence_loss, train
+
+        previous = T.set_default_dtype(np.float32)
+        try:
+            cfg = ModelConfig(kind="arcloc", n_labels=toy_vocab.n_labels, emb_dim=16,
+                              context_layers=1, d=8, r=8, layers=2, k=2)
+            model = build_model(cfg, toy_vocab, seed=0)
+            train(model, toy_corpus[0][:8], [], toy_vocab,
+                  TrainConfig(epochs=1, lr=1e-3, use_swa=False, seed=0))
+            sentence = max(toy_corpus[0][:8], key=len)
+            assert cfg.k < len(sentence)
+            model.train()
+            model.zero_grad()
+            loss = sentence_loss(model, sentence, toy_vocab)
+            assert np.isfinite(loss.item())
+            nodes, stack = {}, [loss]
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes:
+                    nodes[id(node)] = node
+                    stack.extend(node._prev)
+            loss.backward()
+            for node in nodes.values():
+                assert node.data.dtype == np.float32, node
+                assert node.grad is None or node.grad.dtype == np.float32, node
+            for name, p in model.named_parameters():
+                assert p.data.dtype == np.float32, name
+                assert p.grad is None or p.grad.dtype == np.float32, name
+            assert any(p.grad is not None for p in model.refiner_layers.parameters())
+        finally:
+            T.set_default_dtype(previous)
 
     def test_grad_check_refuses_float32(self):
         from arcforge import tensor as T

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcforge.nn import Linear
 from arcforge.refiner import (
@@ -13,7 +15,18 @@ from arcforge.refiner import (
     refine,
     reset_attention_entry_count,
 )
-from arcforge.tensor import Tensor, narrow, tsum
+from arcforge.tensor import (
+    Tensor,
+    argsort_descending,
+    concat,
+    embedding_gather,
+    matmul,
+    narrow,
+    reshape,
+    softmax,
+    straight_through,
+    tsum,
+)
 
 
 def tt(a, grad=True):
@@ -44,6 +57,109 @@ def make_filter_fixture(n=3, r=2, seed=0):
     head.weight.data[0, 0] = 1.0
     head.bias.data[:] = 0.0
     return tt(v0), head
+
+
+def reference_filter_topk(v0_flat, filter_head, n, k, mode="eval", rng=None,
+                          gumbel_scale=1.0, st_grad=True):
+    """The per-modifier loop that filter_topk replaces, kept as its oracle."""
+    big_n = n + 1
+    logits_all = filter_head(v0_flat)
+    kept_heads, kept_vecs, kept_flat, probs_out = [], [], [], []
+    for j in range(1, big_n):
+        valid = [i for i in range(big_n) if i != j]
+        idx = [i * big_n + j for i in valid]
+        lg = reshape(embedding_gather(logits_all, idx), (len(valid),))
+        if mode == "train" and gumbel_scale > 0.0:
+            lg = lg + Tensor(rng.gumbel(size=len(valid)) * gumbel_scale)
+        probs = softmax(lg)
+        order = argsort_descending(lg.data)
+        heads_j = [valid[o] for o in order[:min(k, len(valid))]]
+        kept_heads.append(heads_j)
+        probs_out.append(probs.data.copy())
+        expectation = None
+        if st_grad:
+            rows = embedding_gather(v0_flat, idx)
+            expectation = matmul(reshape(probs, (1, len(valid))), rows)
+        for h in heads_j:
+            hard = embedding_gather(v0_flat, [h * big_n + j])
+            kept_vecs.append(straight_through(hard, expectation) if st_grad else hard)
+            kept_flat.append(h * big_n + j)
+    kept_flat_arr = np.asarray(kept_flat, dtype=np.intp)
+    all_valid = np.asarray(
+        [i * big_n + j for j in range(1, big_n) for i in range(big_n) if i != j],
+        dtype=np.intp,
+    )
+    return FilterOutput(
+        n=n, k=k, kept_heads=kept_heads, kept_flat_idx=kept_flat_arr,
+        kept_vectors=concat(kept_vecs, axis=0) if kept_vecs else None,
+        discarded_flat_idx=np.setdiff1d(all_valid, kept_flat_arr),
+        probs=probs_out, logits_flat=logits_all,
+    )
+
+
+def _filter_gradients(filter_fn, v0, head, w, **kwargs):
+    v0.grad = None
+    for p in head.parameters():
+        p.grad = None
+    out = filter_fn(v0, head, **kwargs)
+    tsum(out.kept_vectors * w).backward()
+    return out, [None if t.grad is None else t.grad.copy() for t in [v0] + head.parameters()]
+
+
+def _assert_rel_close(got, ref, rtol):
+    """Error relative to max(1, largest reference entry), as grad_check
+    measures it: the filter-head bias gradient is a sum of softmax
+    gradients that is zero up to rounding, so a per-entry ratio is noise."""
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert np.max(np.abs(got - ref)) <= rtol * max(1.0, float(np.max(np.abs(ref))))
+
+
+@st.composite
+def filter_cases(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from([1, max(1, n - 1), n, n + 3]))
+    ties = draw(st.booleans())
+    return {
+        "n": n, "k": k, "ties": ties,
+        "mode": draw(st.sampled_from(["train", "eval"])),
+        "st_grad": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+class TestFilterAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(filter_cases())
+    def test_matches_per_modifier_loop(self, case):
+        n, k, r = case["n"], case["k"], 3
+        data_rng = np.random.default_rng(case["seed"])
+        v0 = tt(data_rng.normal(size=((n + 1) ** 2, r)))
+        if case["ties"]:
+            # the fixture's logit is the first component: few distinct values
+            v0.data[:, 0] = data_rng.integers(-1, 2, size=(n + 1) ** 2)
+        head = Linear(r, 1, data_rng, bias=True)
+        head.weight.data[:] = 0.0
+        head.weight.data[0, 0] = 1.0
+        w = tt(data_rng.normal(size=(n * min(k, n), r)), grad=False)
+        kwargs = dict(n=n, k=k, mode=case["mode"], st_grad=case["st_grad"], gumbel_scale=1.0)
+        got, got_grads = _filter_gradients(
+            filter_topk, v0, head, w, rng=np.random.default_rng(case["seed"]), **kwargs)
+        ref, ref_grads = _filter_gradients(
+            reference_filter_topk, v0, head, w, rng=np.random.default_rng(case["seed"]), **kwargs)
+        assert got.kept_heads == ref.kept_heads
+        assert all(type(h) is int for heads in got.kept_heads for h in heads)
+        assert got.kept_flat_idx.dtype == ref.kept_flat_idx.dtype
+        assert np.array_equal(got.kept_flat_idx, ref.kept_flat_idx)
+        assert got.discarded_flat_idx.dtype == ref.discarded_flat_idx.dtype
+        assert np.array_equal(got.discarded_flat_idx, ref.discarded_flat_idx)
+        assert np.array_equal(got.kept_vectors.data, ref.kept_vectors.data)
+        assert len(got.probs) == len(ref.probs) == n
+        for p_got, p_ref in zip(got.probs, ref.probs):
+            assert p_got.shape == p_ref.shape
+            assert np.max(np.abs(p_got - p_ref)) <= 1e-12
+        for g_got, g_ref in zip(got_grads, ref_grads):
+            _assert_rel_close(g_got, g_ref, 1e-10)
 
 
 class TestFilterTopk:

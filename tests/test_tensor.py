@@ -1,6 +1,8 @@
 """Tests for the autodiff engine: forward oracles and gradient checks."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -57,6 +59,41 @@ class TestBilinear:
         for i in range(5):
             ref = np.einsum("a,acb,b->c", H[i], w, M[i])
             assert np.max(np.abs(out.data[i] - ref)) < 1e-12
+
+    def test_pairwise_rectangular_against_loop(self):
+        rng = np.random.default_rng(15)
+        H, w, M = rng.normal(size=(4, 3)), rng.normal(size=(3, 2, 5)), rng.normal(size=(6, 5))
+        out = T.pairwise_bilinear(tt(H), tt(w), tt(M))
+        assert out.data.shape == (4, 6, 2)
+        for i in range(4):
+            for j in range(6):
+                ref = np.einsum("a,acb,b->c", H[i], w, M[j])
+                assert np.max(np.abs(out.data[i, j] - ref)) < 1e-12
+
+    def test_paired_rectangular_against_loop(self):
+        rng = np.random.default_rng(16)
+        H, w, M = rng.normal(size=(4, 3)), rng.normal(size=(3, 2, 5)), rng.normal(size=(4, 5))
+        out = T.paired_bilinear(tt(H), tt(w), tt(M))
+        assert out.data.shape == (4, 2)
+        for i in range(4):
+            ref = np.einsum("a,acb,b->c", H[i], w, M[i])
+            assert np.max(np.abs(out.data[i] - ref)) < 1e-12
+
+
+class TestArcExpectation:
+    def test_against_loop(self):
+        rng = np.random.default_rng(17)
+        n, r = 4, 3
+        P, V = rng.random((n, n + 1)), rng.normal(size=((n + 1) ** 2, r))
+        out = T.arc_expectation(tt(P), tt(V))
+        grid = V.reshape(n + 1, n + 1, r)
+        for j in range(1, n + 1):
+            ref = sum(P[j - 1, i] * grid[i, j] for i in range(n + 1))
+            assert np.max(np.abs(out.data[j - 1] - ref)) < 1e-12
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="arc_expectation"):
+            T.arc_expectation(tt(np.zeros((3, 3))), tt(np.zeros((16, 2))))
 
 
 class TestSoftmax:
@@ -167,6 +204,10 @@ class TestIndexOps:
         order = T.argsort_descending(np.array([1.0, 3.0, 3.0, 0.5]))
         assert order.tolist() == [1, 2, 0, 3]
 
+    def test_argsort_descending_sorts_each_row(self):
+        order = T.argsort_descending(np.array([[1.0, 3.0, 3.0, 0.5], [2.0, -np.inf, 2.0, 4.0]]))
+        assert order.tolist() == [[1, 2, 0, 3], [3, 0, 2, 1]]
+
     def test_gather_then_scatter_roundtrip(self):
         rng = np.random.default_rng(11)
         base = tt(rng.normal(size=(6, 3)))
@@ -181,6 +222,36 @@ class TestIndexOps:
     def test_scatter_duplicate_rejected(self):
         with pytest.raises(ValueError):
             T.row_scatter(tt(np.zeros((3, 2))), [1, 1], tt(np.zeros((2, 2))))
+
+
+class TestGradientBookkeeping:
+    def test_first_gradient_is_an_owned_copy(self):
+        x = tt(np.zeros(3))
+        x.data = x.data.astype(np.float32)
+        g = np.ones(3)
+        T._accum(x, g)
+        g[0] = 5.0
+        assert x.grad.dtype == np.float32
+        assert x.grad.tolist() == [1.0, 1.0, 1.0]
+        T._accum(x, g)
+        assert x.grad.tolist() == [6.0, 2.0, 2.0]
+
+    def test_dropped_graph_freed_without_cycle_collector(self):
+        x = tt(np.ones(3))
+        gc.disable()
+        try:
+            y = T.softmax(x * x)
+            probe = weakref.ref(y.data)
+            z = T.tsum(y * y)
+            z.backward()
+            del y, z
+            assert probe() is None
+        finally:
+            gc.enable()
+
+    def test_gradient_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="gradient shape"):
+            T._accum(tt(np.zeros(3)), np.zeros((1, 3)))
 
 
 class TestGradCheckHarness:
@@ -261,6 +332,16 @@ def _gradcheck_cases():
     x = rand(3, 4)
     mask = (np.random.default_rng(14).random((3, 4)) >= 0.4) / 0.6
     cases.append(("dropout-fixed-mask", x, lambda x=x, m=tt(mask, grad=False): T.tsum(x * m * x)))
+    # rectangular shapes (p != q, a != b), every operand checked
+    H, w, M = rand(4, 3), rand(3, 2, 5), rand(6, 5)
+    for name, theta in (("H", H), ("t", w), ("M", M)):
+        cases.append((f"pairwise-rect-{name}", theta, lambda H=H, w=w, M=M: T.tsum(T.pairwise_bilinear(H, w, M) * T.pairwise_bilinear(H, w, M))))
+    H, w, M = rand(4, 3), rand(3, 2, 5), rand(4, 5)
+    for name, theta in (("H", H), ("t", w), ("M", M)):
+        cases.append((f"paired-rect-{name}", theta, lambda H=H, w=w, M=M: T.tsum(T.paired_bilinear(H, w, M) * T.paired_bilinear(H, w, M))))
+    P, V = rand(3, 4), rand(16, 2)
+    for name, theta in (("probs", P), ("v", V)):
+        cases.append((f"arc-expectation-{name}", theta, lambda P=P, V=V: T.tsum(T.arc_expectation(P, V) * T.arc_expectation(P, V))))
     return cases
 
 
