@@ -2,12 +2,15 @@
 
 Only the ID, FORM, UPOS, HEAD and DEPREL columns are consumed; the
 remaining columns are written back as underscores. Multiword-token
-ranges ("3-4") and empty nodes ("5.1") are skipped, '#' lines ignored.
+ranges ("3-4") and empty nodes ("5.1") are skipped, '#' lines ignored;
+word ids must run 1..n within each sentence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .decoders import check_tree
 
 
 class ConlluError(ValueError):
@@ -42,51 +45,30 @@ class Sentence:
         return [t.gold_label for t in self.tokens]
 
 
-def check_tree(heads: list[int]) -> bool:
-    """True iff heads (1-indexed positions, 0 = root) form a tree rooted at 0."""
-    n = len(heads)
-    if any(not 0 <= h <= n for h in heads):
-        return False
-    if any(heads[j - 1] == j for j in range(1, n + 1)):
-        return False
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    for j in range(1, n + 1):
-        children[heads[j - 1]].append(j)
-    seen = set()
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            return False
-        seen.add(v)
-        stack.extend(children[v])
-    return len(seen) == n + 1
-
-
 def parse_conllu(text: str) -> list[Sentence]:
     sentences: list[Sentence] = []
     tokens: list[Token] = []
-    first_line = 0
+    token_lines: list[int] = []
 
-    def flush(at_line: int):
-        nonlocal tokens, first_line
+    def flush():
+        nonlocal tokens, token_lines
         if not tokens:
             return
         heads = [t.gold_head for t in tokens]
-        for i, h in enumerate(heads):
+        for j, (h, lineno) in enumerate(zip(heads, token_lines), start=1):
             if h > len(tokens):
-                raise ConlluError(f"HEAD {h} out of range for a {len(tokens)}-token sentence", first_line + i)
-            if h == i + 1:
-                raise ConlluError(f"token {i + 1} is its own head", first_line + i)
+                raise ConlluError(f"HEAD {h} out of range for a {len(tokens)}-token sentence", lineno)
+            if h == j:
+                raise ConlluError(f"token {j} is its own head", lineno)
         if not check_tree(heads):
-            raise ConlluError("gold heads do not form a tree rooted at 0", first_line)
+            raise ConlluError("gold heads do not form a tree rooted at 0", token_lines[0])
         sentences.append(Sentence(tokens))
-        tokens = []
+        tokens, token_lines = [], []
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip("\r")
         if not line.strip():
-            flush(lineno)
+            flush()
             continue
         if line.lstrip().startswith("#"):
             continue
@@ -99,19 +81,20 @@ def parse_conllu(text: str) -> list[Sentence]:
         if "-" in tok_id or "." in tok_id:
             continue
         try:
-            int(tok_id)
+            tok_id = int(tok_id)
         except ValueError:
             raise ConlluError(f"bad token id {tok_id!r}", lineno) from None
+        if tok_id != len(tokens) + 1:
+            raise ConlluError(f"token id {tok_id} where {len(tokens) + 1} was expected", lineno)
         try:
             head = int(cols[6])
         except ValueError:
             raise ConlluError(f"non-integer HEAD {cols[6]!r}", lineno) from None
         if head < 0:
             raise ConlluError(f"negative HEAD {head}", lineno)
-        if not tokens:
-            first_line = lineno
         tokens.append(Token(form=cols[1], upos=cols[3], gold_head=head, gold_label=cols[7]))
-    flush(len(text.split("\n")) + 1)
+        token_lines.append(lineno)
+    flush()
     return sentences
 
 

@@ -22,24 +22,30 @@ def tree_score(scores: np.ndarray, heads: list[int]) -> float:
     return float(sum(scores[heads[j - 1], j] for j in range(1, n + 1)))
 
 
-def is_single_root_tree(heads: list[int]) -> bool:
+def check_tree(heads: list[int]) -> bool:
+    """True iff heads (1-indexed positions, 0 = root) form a tree rooted at 0."""
     n = len(heads)
-    if sum(1 for h in heads if h == 0) != 1:
-        return False
-    if any(h == j for j, h in enumerate(heads, start=1)):
-        return False
     if any(not 0 <= h <= n for h in heads):
         return False
-    # every node must reach the root without revisiting
+    if any(heads[j - 1] == j for j in range(1, n + 1)):
+        return False
+    children: list[list[int]] = [[] for _ in range(n + 1)]
     for j in range(1, n + 1):
-        seen = set()
-        v = j
-        while v != 0:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = heads[v - 1]
-    return True
+        children[heads[j - 1]].append(j)
+    seen = set()
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            return False
+        seen.add(v)
+        stack.extend(children[v])
+    return len(seen) == n + 1
+
+
+def is_single_root_tree(heads: list[int]) -> bool:
+    """A tree rooted at 0 in which the root heads exactly one word."""
+    return heads.count(0) == 1 and check_tree(heads)
 
 
 def is_projective(heads: list[int]) -> bool:
@@ -128,140 +134,78 @@ def eisner(scores: np.ndarray) -> list[int]:
     return heads[1:]
 
 
-def _find_cycle(best: np.ndarray, m: int) -> list[int] | None:
-    color = [0] * m
-    color[0] = 2
-    for start in range(1, m):
-        if color[start] != 0:
-            continue
-        path = [start]
-        color[start] = 1
-        while True:
-            nxt = int(best[path[-1]])
-            if nxt == 0 or color[nxt] == 2:
-                break
-            if color[nxt] == 1:
-                return path[path.index(nxt):]
-            color[nxt] = 1
-            path.append(nxt)
-        for v in path:
-            color[v] = 2
-    return None
-
-
-def _greedy_arborescence(scores: np.ndarray) -> np.ndarray:
-    """Greedy-contract maximum arborescence rooted at node 0.
-
-    May attach several children to the root; the single-root constraint
-    is enforced by the caller.
-    """
-    m = scores.shape[0]
-    best = np.full(m, -1, dtype=int)
-    for j in range(1, m):
-        col = scores[:, j].copy()
-        col[j] = NEG_INF
-        best[j] = int(np.argmax(col))
-    cycle = _find_cycle(best, m)
-    if cycle is None:
-        return best
-
-    cyc = sorted(cycle)
-    cyc_set = set(cyc)
-    rest = [v for v in range(m) if v not in cyc_set]
-    new_index = {v: i for i, v in enumerate(rest)}
-    c_star = len(rest)
-    m2 = len(rest) + 1
-    contracted = np.full((m2, m2), NEG_INF)
-    for i_old in rest:
-        for j_old in rest:
-            if i_old != j_old:
-                contracted[new_index[i_old], new_index[j_old]] = scores[i_old, j_old]
-    enter_choice: dict[int, tuple[int, int]] = {}
-    for i_old in rest:
-        best_val, best_v = NEG_INF, cyc[0]
-        for v in cyc:
-            val = scores[i_old, v] - scores[best[v], v]
-            if val > best_val:
-                best_val, best_v = val, v
-        contracted[new_index[i_old], c_star] = best_val
-        enter_choice[new_index[i_old]] = (i_old, best_v)
-    exit_choice: dict[int, int] = {}
-    for j_old in rest:
-        if j_old == 0:
-            continue
-        best_val, best_v = NEG_INF, cyc[0]
-        for v in cyc:
-            if scores[v, j_old] > best_val:
-                best_val, best_v = scores[v, j_old], v
-        contracted[c_star, new_index[j_old]] = best_val
-        exit_choice[new_index[j_old]] = best_v
-
-    sub = _greedy_arborescence(contracted)
-    heads = np.full(m, -1, dtype=int)
-    for v in cyc:
-        heads[v] = best[v]
-    for j_old in rest:
-        if j_old == 0:
-            continue
-        j_new = new_index[j_old]
-        if sub[j_new] == c_star:
-            heads[j_old] = exit_choice[j_new]
-        else:
-            heads[j_old] = rest[sub[j_new]]
-    entering_i, entering_v = enter_choice[int(sub[c_star])]
-    heads[entering_v] = entering_i
-    return heads
-
-
 def _masked(scores: np.ndarray) -> np.ndarray:
-    s = scores.astype(float).copy()
+    """A float copy with the diagonal and column 0 at -inf, and any other
+    -inf arc raised to a finite floor that no tree avoiding such arcs can
+    lose to, so that contraction never subtracts one infinity from another."""
+    s = np.array(scores, dtype=float)
     np.fill_diagonal(s, NEG_INF)
     s[:, 0] = NEG_INF
+    arc = ~np.eye(len(s), dtype=bool)
+    arc[:, 0] = False
+    missing = arc & np.isneginf(s)
+    if missing.any():
+        present = s[arc & ~missing]
+        lo, hi = (present.min(), present.max()) if present.size else (0.0, 0.0)
+        s[missing] = lo - len(s) * (hi - lo) - 1.0
     return s
+
+
+def _find_cycle(best: list[int]) -> np.ndarray:
+    """Sorted nodes of a cycle of best, a map from each word to another word."""
+    path, pos = [1], {1: 0}
+    while (v := best[path[-1]]) not in pos:
+        pos[v] = len(path)
+        path.append(v)
+    return np.sort(path[pos[v]:])
 
 
 def cle(scores: np.ndarray) -> list[int]:
     """Maximum spanning arborescence with exactly one root child.
 
-    Runs greedy contraction once; if the result attaches several words
-    to the root, re-runs once per forced root child and keeps the best
-    total (exact; costs one extra decode per word).
+    Every word takes its best non-root head; those arcs close a cycle C,
+    which is contracted, level by level, until one word is left to take
+    the root. Exact: an optimal single-root tree with fewer than |C| - 1
+    arcs of C has a cycle word whose non-root tree arc its cycle arc can
+    replace at no loss. At most n - 1 levels of numpy calls, no recursion.
     """
-    n = scores.shape[0] - 1
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
     s = _masked(scores)
-    heads = _greedy_arborescence(s)
-    if int(np.sum(heads[1:] == 0)) == 1:
-        return heads[1:].tolist()
-    best_heads, best_val = None, NEG_INF
-    for c in range(1, n + 1):
-        forced = s.copy()
-        forced[0, :] = NEG_INF
-        forced[0, c] = s[0, c]
-        cand = _greedy_arborescence(forced)
-        val = tree_score(s, cand[1:].tolist())
-        if val > best_val:
-            best_val, best_heads = val, cand
-    return best_heads[1:].tolist()
+    levels = []
+    while len(s) > 2:
+        best = np.concatenate(([0], 1 + np.argmax(s[1:, 1:], axis=0)))
+        cyc = _find_cycle(best.tolist())
+        keep = np.ones(len(s), dtype=bool)
+        keep[cyc] = False
+        rest = np.flatnonzero(keep)  # rest[0] is the root
+        enter = s[np.ix_(rest, cyc)] - s[best[cyc], cyc]
+        leave = s[np.ix_(cyc, rest)]
+        k = len(rest)
+        t = np.full((k + 1, k + 1), NEG_INF)
+        t[:k, :k] = s[np.ix_(rest, rest)]
+        t[:k, k] = enter.max(axis=1)
+        t[k, 1:k] = leave[:, 1:].max(axis=0)
+        levels.append((best, cyc, rest, enter.argmax(axis=1), leave.argmax(axis=0)))
+        s = t
+    heads = np.zeros(len(s), dtype=int)  # node 0's entry is a placeholder
+    for best, cyc, rest, enter_at, leave_from in reversed(levels):
+        k = len(rest)
+        up = best.copy()  # cycle words keep their cycle arcs ...
+        up[rest] = np.append(rest, -1)[heads[:k]]
+        from_cycle = heads[:k] == k  # words hung from the contracted node
+        up[rest[from_cycle]] = cyc[leave_from[from_cycle]]
+        up[cyc[enter_at[heads[k]]]] = rest[heads[k]]  # ... but one, replaced by the entering arc
+        heads = up
+    return heads[1:].tolist()
 
 
 @lru_cache(maxsize=32)
 def _candidate_trees(n: int, projective: bool) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for heads in itertools.product(range(n + 1), repeat=n):
-        if any(h == j for j, h in enumerate(heads, start=1)):
-            continue
-        if sum(1 for h in heads if h == 0) != 1:
-            continue
-        if not is_single_root_tree(list(heads)):
-            continue
-        if projective and not is_projective(list(heads)):
-            continue
-        out.append(heads)
-    return tuple(out)
+    no_self_loop = [[h for h in range(n + 1) if h != j] for j in range(1, n + 1)]
+    return tuple(
+        heads
+        for heads in itertools.product(*no_self_loop)
+        if is_single_root_tree(list(heads)) and (not projective or is_projective(list(heads)))
+    )
 
 
 def brute_force_best_tree(scores: np.ndarray, projective: bool) -> tuple[list[int], float]:
@@ -271,9 +215,6 @@ def brute_force_best_tree(scores: np.ndarray, projective: bool) -> tuple[list[in
         raise ValueError(f"brute force refuses n={n} > 7")
     if n == 0:
         return [], 0.0
-    best_heads, best_val = None, NEG_INF
-    for heads in _candidate_trees(n, projective):
-        val = tree_score(scores, list(heads))
-        if val > best_val:
-            best_val, best_heads = val, heads
-    return list(best_heads), best_val
+    trees = np.array(_candidate_trees(n, projective))
+    best = trees[int(np.argmax(scores[trees, np.arange(1, n + 1)].sum(axis=1)))].tolist()
+    return best, tree_score(scores, best)

@@ -75,6 +75,25 @@ class TestParse:
         sents = parse_conllu(TWO_TOKENS + "\n" + TWO_TOKENS)
         assert len(sents) == 2
 
+    def test_gap_in_ids_rejected_at_its_line(self):
+        text = "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n3\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+        with pytest.raises(ConlluError, match="line 2: token id 3 where 2 was expected"):
+            parse_conllu(text)
+
+    def test_ids_restart_at_one_per_sentence(self):
+        with pytest.raises(ConlluError, match="line 4: token id 3 where 1 was expected"):
+            parse_conllu(TWO_TOKENS + "\n3\tc\t_\tX\t_\t_\t0\troot\t_\t_\n")
+
+    def test_head_error_after_multiword_line_names_its_own_line(self):
+        text = (
+            "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n"
+            "2-3\tbc\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            "2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+            "3\tc\t_\tX\t_\t_\t9\tdep\t_\t_\n"
+        )
+        with pytest.raises(ConlluError, match="line 4: HEAD 9 out of range"):
+            parse_conllu(text)
+
 
 class TestCheckTree:
     def test_valid_chains_and_flat(self):
