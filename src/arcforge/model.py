@@ -21,7 +21,7 @@ from .encoder import Encoder, EncoderConfig, Specialization
 from .nn import Module, ModuleList
 from .refiner import FilterOutput, TransformerLayer, filter_topk, num_heads, refine
 from .scorers import ArcScorer, LocScorer
-from .tensor import Tensor, embedding_gather
+from .tensor import Tensor, embedding_gather, no_grad
 
 CHECKPOINT_FORMAT = "arcforge-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -128,18 +128,18 @@ class _ParserBase(Module):
         return sum(p.data.size for _, p in self.accounted_parameters())
 
     def predict(self, sentence: Sentence, vocab: Vocab, decoder: str = "eisner") -> ParseResult:
-        """Decode the best tree, then label its arcs (pipeline prediction)."""
+        """Decode the best tree, then label its arcs (pipeline prediction).
+
+        No graph is recorded, so each intermediate is freed once used."""
         if decoder not in DECODERS:
             raise ValueError(f"unknown decoder {decoder!r}")
-        fwd = self.forward_parse(sentence, vocab)
-        s = fwd.scores.data  # the decoders ignore the masked diagonal and root column
-        heads = eisner(s) if decoder == "eisner" else cle(s)
-        arcs = [(heads[j - 1], j) for j in range(1, fwd.n + 1)]
-        if arcs:
-            logits = fwd.label_logits_for(arcs).data
-            label_ids = [int(np.argmax(row)) for row in logits]
-        else:
-            label_ids = []
+        with no_grad():
+            fwd = self.forward_parse(sentence, vocab)
+            s = fwd.scores.data  # the decoders ignore the masked diagonal and root column
+            heads = eisner(s) if decoder == "eisner" else cle(s)
+            arcs = [(heads[j - 1], j) for j in range(1, fwd.n + 1)]
+            logits = fwd.label_logits_for(arcs).data if arcs else []
+        label_ids = [int(np.argmax(row)) for row in logits]
         labels = [vocab.label_name(i) for i in label_ids]
         kept = fwd.filter_output.kept_heads if fwd.filter_output is not None else None
         return ParseResult(heads=heads, label_ids=label_ids, labels=labels,

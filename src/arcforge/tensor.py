@@ -5,7 +5,8 @@ backward closure and its parents, and ``Tensor.backward()`` replays the
 tape in reverse topological order. A closure takes its output's gradient
 as an argument and holds no reference to the output, so a graph has no
 reference cycle and is freed as soon as its last tensor is dropped,
-without waiting for the cycle collector. The engine is deliberately
+without waiting for the cycle collector. Inside ``no_grad()`` nothing
+is recorded, which is how prediction runs. The engine is deliberately
 small: just the operations the parsing models need, each one
 gradient-checked.
 
@@ -16,7 +17,9 @@ Tensors are immutable after creation except for gradient accumulation
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +37,25 @@ def set_default_dtype(dtype):
         raise ValueError(f"unsupported dtype: {dtype!r}")
     previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt.type
     return previous
+
+
+class _GradMode(threading.local):
+    enabled = True  # per thread: parsing threads enter no_grad() independently
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block, on this thread: outputs need no
+    gradient and keep no parents, so every intermediate is freed as soon
+    as it is dropped."""
+    previous, _grad_mode.enabled = _grad_mode.enabled, False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -74,7 +96,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        live = tuple(p for p in prev if p.requires_grad)
+        live = tuple(p for p in prev if p.requires_grad) if _grad_mode.enabled else ()
         out.requires_grad = bool(live)
         out._prev = live
         out._backward = None

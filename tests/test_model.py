@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arcforge.decoders import is_projective, is_single_root_tree
+from arcforge.decoders import cle, is_projective, is_single_root_tree, tree_score
 from arcforge.model import (
     ArcLocModel,
     ModelConfig,
@@ -69,6 +69,28 @@ class TestPredict:
         b = model.predict(sent, toy_vocab)
         assert a.heads == b.heads and a.labels == b.labels
         assert a.kept_heads == b.kept_heads
+
+    def test_predict_records_no_graph(self, toy_corpus, toy_vocab):
+        model = build_model(arc_cfg(toy_vocab, layers=1, k=3), toy_vocab, seed=5)
+        model.eval()
+        seen = []
+        forward = model.forward_parse
+        model.forward_parse = lambda *args: seen.append(forward(*args)) or seen[-1]
+        model.predict(toy_corpus[0][0], toy_vocab, decoder="mst")
+        assert not seen[0].scores.requires_grad and seen[0].scores._prev == ()
+
+    def test_predict_matches_recorded_forward_bitwise(self, toy_corpus, toy_vocab):
+        # predict records no graph; its scores must still be the training forward's
+        model = build_model(arc_cfg(toy_vocab, layers=2, k=3), toy_vocab, seed=5)
+        model.eval()
+        for sent in toy_corpus[0][:5]:
+            res = model.predict(sent, toy_vocab, decoder="mst")
+            fwd = model.forward_parse(sent, toy_vocab)
+            assert fwd.scores.requires_grad
+            assert res.heads == cle(fwd.scores.data)
+            assert res.score == tree_score(fwd.scores.data, res.heads)
+            logits = fwd.label_logits_for([(h, j) for j, h in enumerate(res.heads, 1)]).data
+            assert res.label_ids == [int(np.argmax(row)) for row in logits]
 
     def test_score_is_tree_score(self, toy_corpus, toy_vocab):
         model = build_model(arc_cfg(toy_vocab), toy_vocab, seed=4)

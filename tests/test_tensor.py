@@ -2,6 +2,8 @@
 
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -248,6 +250,51 @@ class TestGradientBookkeeping:
             assert probe() is None
         finally:
             gc.enable()
+
+    def test_no_grad_records_no_graph(self):
+        x = tt(np.array([0.5, -1.0, 2.0]))
+        with T.no_grad():
+            y = T.softmax(x * x)
+        assert not y.requires_grad and y._prev == () and y._backward is None
+        assert np.array_equal(y.data, T.softmax(x * x).data)
+        assert T.softmax(x * x).requires_grad  # recording resumes after the block
+
+    def test_no_grad_restores_recording_after_an_error(self):
+        x = tt(np.ones(2))
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError
+        assert (x * x).requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        # parsing threads enter and leave no_grad() in any interleaving;
+        # none may switch recording off for another thread, or leave it off
+        x = tt(np.ones(2))
+        errors = []
+        start = threading.Barrier(4)
+
+        def work():
+            start.wait(10)
+            for _ in range(2000):
+                with T.no_grad():
+                    if (x * x).requires_grad:
+                        errors.append("recorded inside no_grad")
+                if not (x * x).requires_grad:
+                    errors.append("not recording outside no_grad")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert (x * x).requires_grad
 
     def test_gradient_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="gradient shape"):
