@@ -1,17 +1,14 @@
 """Command-line entry points: train, parse, eval, params, gradcheck.
 
 All commands are batch operations driven by a flat JSON config and/or
-flags; randomness is controlled by --seed. The ARCFORGE_THREADS
-environment variable caps worker threads used for parsing.
+flags; randomness is controlled by --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,17 +18,6 @@ from .evaluation import PUNCT_POLICIES, uas_las
 from .model import DECODERS, build_model, load_checkpoint, save_checkpoint
 from .tensor import set_default_dtype
 from .training import end_to_end_grad_check, formula_param_count, train
-
-
-def _worker_threads() -> int:
-    raw = os.environ.get("ARCFORGE_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise SystemExit(f"ARCFORGE_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise SystemExit(f"ARCFORGE_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 def _read_conllu_file(path) -> list[Sentence]:
@@ -68,17 +54,7 @@ def cmd_parse(args) -> int:
     model, vocab, _ = load_checkpoint(args.model)
     model.eval()
     sentences = _read_conllu_file(args.input)
-    threads = _worker_threads()
-
-    def run(sent: Sentence):
-        res = model.predict(sent, vocab, decoder=args.decoder)
-        return res.heads, res.labels
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            predictions = list(pool.map(run, sentences))
-    else:
-        predictions = [run(s) for s in sentences]
+    predictions = [model.predict(s, vocab, decoder=args.decoder).as_prediction() for s in sentences]
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(write_conllu(sentences, predictions))
     print(f"parsed {len(sentences)} sentences -> {args.output}")

@@ -3,14 +3,18 @@
 Only the ID, FORM, UPOS, HEAD and DEPREL columns are consumed; the
 remaining columns are written back as underscores. Multiword-token
 ranges ("3-4") and empty nodes ("5.1") are skipped, '#' lines ignored;
-word ids must run 1..n within each sentence.
+any other id must be a word id, and word ids must run 1..n within each
+sentence.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .decoders import check_tree
+
+_SKIPPED_ID = re.compile(r"\d+-\d+|\d+\.\d+")  # multiword-token ranges and empty nodes
 
 
 class ConlluError(ValueError):
@@ -78,7 +82,7 @@ def parse_conllu(text: str) -> list[Sentence]:
         if len(cols) < 8:
             raise ConlluError(f"expected at least 8 columns, got {len(cols)}", lineno)
         tok_id = cols[0]
-        if "-" in tok_id or "." in tok_id:
+        if _SKIPPED_ID.fullmatch(tok_id):
             continue
         try:
             tok_id = int(tok_id)

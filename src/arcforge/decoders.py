@@ -76,8 +76,7 @@ def eisner(scores: np.ndarray) -> list[int]:
     i_right = np.zeros((n + 1, n + 1))   # arc s -> t
     bp_cl = np.zeros((n + 1, n + 1), dtype=int)
     bp_cr = np.zeros((n + 1, n + 1), dtype=int)
-    bp_il = np.zeros((n + 1, n + 1), dtype=int)
-    bp_ir = np.zeros((n + 1, n + 1), dtype=int)
+    bp_i = np.zeros((n + 1, n + 1), dtype=int)  # shared by both incomplete spans
 
     for length in range(1, n):
         for s in range(1, n - length + 1):
@@ -87,8 +86,7 @@ def eisner(scores: np.ndarray) -> list[int]:
             q = int(np.argmax(combo))
             i_left[s, t] = scores[t, s] + combo[q]
             i_right[s, t] = scores[s, t] + combo[q]
-            bp_il[s, t] = s + q
-            bp_ir[s, t] = s + q
+            bp_i[s, t] = s + q
             # complete headed at t: split q in [s, t)
             combo = c_left[s, s:t] + i_left[s:t, t]
             q = int(np.argmax(combo))
@@ -123,12 +121,12 @@ def eisner(scores: np.ndarray) -> list[int]:
             stack.append(("cr", q, t))
         elif kind == "il":
             heads[s] = t
-            q = bp_il[s, t]
+            q = bp_i[s, t]
             stack.append(("cr", s, q))
             stack.append(("cl", q + 1, t))
         else:  # ir
             heads[t] = s
-            q = bp_ir[s, t]
+            q = bp_i[s, t]
             stack.append(("cr", s, q))
             stack.append(("cl", q + 1, t))
     return heads[1:]

@@ -10,7 +10,7 @@ optionally refined by transformer layers over the filtered arc set.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -192,8 +192,7 @@ class ArcLocModel(_ParserBase):
             out.append((name, p))
         return out
 
-    def forward_parse(self, sentence: Sentence, vocab: Vocab,
-                      st_grad: bool | None = None) -> ForwardPass:
+    def forward_parse(self, sentence: Sentence, vocab: Vocab) -> ForwardPass:
         n = len(sentence)
         cfg = self.cfg
         e = self.encoder.encode(sentence, vocab)
@@ -203,7 +202,6 @@ class ArcLocModel(_ParserBase):
         v0_flat = v0.reshape(((n + 1) * (n + 1), cfg.r))
         flt = None
         if cfg.layers > 0:
-            st = self.training if st_grad is None else st_grad
             flt = filter_topk(
                 v0_flat,
                 self.scorer.filter_head,
@@ -212,7 +210,7 @@ class ArcLocModel(_ParserBase):
                 mode="train" if self.training else "eval",
                 rng=self.rng,
                 gumbel_scale=cfg.gumbel_scale if (self.training and cfg.train_noise) else 0.0,
-                st_grad=st,
+                st_grad=self.training,
             )
             v_final = refine(v0_flat, flt, self.refiner_layers)
         else:
@@ -255,7 +253,13 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
         state = {key[len("param:"):]: z[key] for key in z.files if key.startswith("param:")}
-    cfg = ModelConfig(**meta["model"])
+    stored = meta["model"]
+    problems = [f"unknown key {k!r}" for k in sorted(set(stored) - {f.name for f in fields(ModelConfig)})]
+    problems += [f"missing key {f.name!r}" for f in fields(ModelConfig)
+                 if f.default is MISSING and f.name not in stored]
+    if problems:
+        raise ValueError(f"{path}: bad model config: {', '.join(problems)}")
+    cfg = ModelConfig(**stored)
     vocab = Vocab.from_dict(meta["vocab"])
     model = build_model(cfg, vocab, seed=0)
     model.load_state(state)

@@ -1,7 +1,8 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values live in numpy arrays; every differentiable operation records a
-backward closure and its parents, and ``Tensor.backward()`` replays the
+Values live in numpy arrays; every differentiable operation hands its
+backward closure and parents to ``Tensor._from_op``, which records them
+when some parent needs a gradient, and ``Tensor.backward()`` replays the
 tape in reverse topological order. A closure takes its output's gradient
 as an argument and holds no reference to the output, so a graph has no
 reference cycle and is freed as soon as its last tensor is dropped,
@@ -40,7 +41,7 @@ def set_default_dtype(dtype):
 
 
 class _GradMode(threading.local):
-    enabled = True  # per thread: parsing threads enter no_grad() independently
+    enabled = True  # per thread: a library caller's threads enter no_grad() independently
 
 
 _grad_mode = _GradMode()
@@ -92,14 +93,17 @@ class Tensor:
         self._prev: tuple = ()
 
     @classmethod
-    def _from_op(cls, data: np.ndarray, prev: Sequence["Tensor"]) -> "Tensor":
+    def _from_op(cls, data: np.ndarray, prev: Sequence["Tensor"],
+                 backward: Callable[[np.ndarray], None]) -> "Tensor":
+        """An op's output; it keeps ``backward`` and its parents only when
+        some parent is being recorded."""
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
         live = tuple(p for p in prev if p.requires_grad) if _grad_mode.enabled else ()
         out.requires_grad = bool(live)
         out._prev = live
-        out._backward = None
+        out._backward = backward if live else None
         return out
 
     # -- convenience -------------------------------------------------
@@ -191,46 +195,38 @@ def _lift(x) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = Tensor._from_op(a.data + b.data, (a, b))
 
     def _bw(g):
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data + b.data, (a, b), _bw)
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor._from_op(-a.data, (a,))
 
     def _bw(g):
         _accum(a, -g)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(-a.data, (a,), _bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = Tensor._from_op(a.data * b.data, (a, b))
 
     def _bw(g):
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data * b.data, (a, b), _bw)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor._from_op(np.maximum(a.data, 0.0), (a,))
 
     def _bw(g):
         _accum(a, g * (a.data > 0))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.maximum(a.data, 0.0), (a,), _bw)
 
 
 def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -246,13 +242,11 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
     mask = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
-    out = Tensor._from_op(a.data * mask, (a,))
 
     def _bw(g):
         _accum(a, g * mask)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data * mask, (a,), _bw)
 
 
 # -- linear algebra ---------------------------------------------------
@@ -264,26 +258,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor._from_op(a.data @ b.data, (a, b))
 
     def _bw(g):
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data @ b.data, (a, b), _bw)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError(f"transpose expects a 2-D tensor, got shape {a.data.shape}")
-    out = Tensor._from_op(a.data.T.copy(), (a,))
 
     def _bw(g):
         _accum(a, g.T)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data.T.copy(), (a,), _bw)
 
 
 def pairwise_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
@@ -300,8 +290,6 @@ def pairwise_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
     a, r, b = t.data.shape
     t_flat = t.data.reshape(a, r * b)
     hr = (H.data @ t_flat).reshape(p * r, b)  # hr[i*r + c] = H[i] . t[:, c, :]
-    out = Tensor._from_op(
-        np.ascontiguousarray((hr @ M.data.T).reshape(p, r, q).transpose(0, 2, 1)), (H, t, M))
 
     def _bw(g):
         gm = (g.transpose(0, 2, 1).reshape(p * r, q) @ M.data).reshape(p, r * b)
@@ -309,8 +297,8 @@ def pairwise_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
         _accum(t, (H.data.T @ gm).reshape(a, r, b))
         _accum(M, g.transpose(1, 0, 2).reshape(q, p * r) @ hr)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(
+        np.ascontiguousarray((hr @ M.data.T).reshape(p, r, q).transpose(0, 2, 1)), (H, t, M), _bw)
 
 
 def paired_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
@@ -323,7 +311,6 @@ def paired_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
     a, c, b = t.data.shape
     t_flat = t.data.reshape(a, c * b)
     hr = (H.data @ t_flat).reshape(n, c, b)
-    out = Tensor._from_op((hr @ M.data[:, :, None])[:, :, 0], (H, t, M))
 
     def _bw(g):
         gm = (g[:, :, None] * M.data[:, None, :]).reshape(n, c * b)
@@ -331,8 +318,7 @@ def paired_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
         _accum(t, (H.data.T @ gm).reshape(a, c, b))
         _accum(M, (g[:, None, :] @ hr)[:, 0, :])
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op((hr @ M.data[:, :, None])[:, :, 0], (H, t, M), _bw)
 
 
 def arc_expectation(probs: Tensor, v_flat: Tensor) -> Tensor:
@@ -345,7 +331,6 @@ def arc_expectation(probs: Tensor, v_flat: Tensor) -> Tensor:
         raise ValueError(f"arc_expectation shape mismatch: {probs.data.shape} vs {v_flat.data.shape}")
     r = v_flat.data.shape[1]
     by_mod = v_flat.data.reshape(big_n, big_n, r)[:, 1:, :].transpose(1, 0, 2)  # [j-1, i] = V[i, j]
-    out = Tensor._from_op((probs.data[:, None, :] @ by_mod)[:, 0, :], (probs, v_flat))
 
     def _bw(g):
         _accum(probs, (by_mod @ g[:, :, None])[:, :, 0])
@@ -353,28 +338,24 @@ def arc_expectation(probs: Tensor, v_flat: Tensor) -> Tensor:
         gv[:, 1:, :] = probs.data.T[:, :, None] * g[None, :, :]
         _accum(v_flat, gv.reshape(big_n * big_n, r))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op((probs.data[:, None, :] @ by_mod)[:, 0, :], (probs, v_flat), _bw)
 
 
 # -- shape ops --------------------------------------------------------
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor._from_op(a.data.reshape(shape), (a,))
 
     def _bw(g):
         _accum(a, g.reshape(a.data.shape))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data.reshape(shape), (a,), _bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_lift(t) for t in tensors]
     if not tensors:
         raise ValueError("concat of zero tensors")
-    out = Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
 
     def _bw(g):
@@ -385,8 +366,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             _accum(t, g[tuple(idx)])
             offset += s
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -395,15 +375,13 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    out = Tensor._from_op(a.data[idx].copy(), (a,))
 
     def _bw(g):
         buf = np.zeros_like(a.data)
         buf[idx] = g
         _accum(a, buf)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(a.data[idx].copy(), (a,), _bw)
 
 
 def embedding_gather(table: Tensor, ids) -> Tensor:
@@ -413,15 +391,13 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
         raise ValueError(f"embedding_gather expects a 2-D table, got {table.data.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError(f"gather index out of range for table with {table.data.shape[0]} rows")
-    out = Tensor._from_op(table.data[ids], (table,))
 
     def _bw(g):
         buf = np.zeros_like(table.data)
         np.add.at(buf, ids, g)
         _accum(table, buf)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(table.data[ids], (table,), _bw)
 
 
 def row_scatter(base: Tensor, ids, rows: Tensor) -> Tensor:
@@ -437,7 +413,6 @@ def row_scatter(base: Tensor, ids, rows: Tensor) -> Tensor:
         raise ValueError(f"row_scatter shape mismatch: {rows.data.shape} into {base.data.shape}")
     data = base.data.copy()
     data[ids] = rows.data
-    out = Tensor._from_op(data, (base, rows))
 
     def _bw(g):
         gb = g.copy()
@@ -445,23 +420,20 @@ def row_scatter(base: Tensor, ids, rows: Tensor) -> Tensor:
         _accum(base, gb)
         _accum(rows, g[ids])
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(data, (base, rows), _bw)
 
 
 # -- reductions and normalization --------------------------------------
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    out = Tensor._from_op(np.sum(a.data, axis=axis), (a,))
 
     def _bw(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.sum(a.data, axis=axis), (a,), _bw)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -475,14 +447,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         raise ValueError("softmax over a fully masked (all -inf) slice")
     e = np.exp(x - m)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._from_op(y, (a,))
 
     def _bw(g):
         dot = np.sum(g * y, axis=axis, keepdims=True)
         _accum(a, y * (g - dot))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(y, (a,), _bw)
 
 
 def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
@@ -503,7 +473,6 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     if bias is not None:
         data = data + bias.data
     prev = (a,) + tuple(p for p in (gain, bias) if p is not None)
-    out = Tensor._from_op(data, prev)
 
     def _bw(g):
         if gain is not None:
@@ -515,8 +484,7 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
         gxhat = (gx * xhat).mean(axis=-1, keepdims=True)
         _accum(a, inv * (gx - gmean - xhat * gxhat))
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(data, prev, _bw)
 
 
 def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
@@ -533,7 +501,6 @@ def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
     m = x.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
     losses = lse - x[np.arange(t), targets]
-    out = Tensor._from_op(np.asarray(losses.mean()), (logits,))
 
     def _bw(g):
         g = float(g)
@@ -542,8 +509,7 @@ def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
         p[np.arange(t), targets] -= 1.0
         _accum(logits, g * p / t)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.asarray(losses.mean()), (logits,), _bw)
 
 
 def straight_through(hard: Tensor, surrogate: Tensor) -> Tensor:
@@ -555,13 +521,11 @@ def straight_through(hard: Tensor, surrogate: Tensor) -> Tensor:
     """
     if hard.data.shape != surrogate.data.shape:
         raise ValueError(f"straight_through shape mismatch: {hard.data.shape} vs {surrogate.data.shape}")
-    out = Tensor._from_op(hard.data.copy(), (surrogate,))
 
     def _bw(g):
         _accum(surrogate, g)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(hard.data.copy(), (surrogate,), _bw)
 
 
 # -- non-differentiable index ops --------------------------------------

@@ -291,12 +291,14 @@ def evaluate_model(model: _ParserBase, sentences: list[Sentence], vocab: Vocab,
     was_training = model.training
     model.eval()
     preds, kept = [], []
-    for sent in sentences:
-        res = model.predict(sent, vocab, decoder=decoder)
-        preds.append(res.as_prediction())
-        if res.kept_heads is not None:
-            kept.append(res.kept_heads)
-    model.train(was_training)
+    try:
+        for sent in sentences:
+            res = model.predict(sent, vocab, decoder=decoder)
+            preds.append(res.as_prediction())
+            if res.kept_heads is not None:
+                kept.append(res.kept_heads)
+    finally:
+        model.train(was_training)
     uas, las = uas_las(preds, sentences, punct_policy)
     oracle = filter_oracle_uas(kept, sentences) if len(kept) == len(sentences) and sentences else None
     return {"uas": uas, "las": las, "filter_oracle": oracle}

@@ -25,6 +25,11 @@ def write(path, text):
     return str(path)
 
 
+def metrics_rows(model_path):
+    with open(model_path + ".metrics.jsonl", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
 class TestEvalCommand:
     def test_identical_files_are_perfect(self, tmp_path, capsys):
         gold = write(tmp_path / "gold.conllu", GOLD)
@@ -144,7 +149,7 @@ def trained_toy(toy_files, tmp_path_factory):
 class TestTrainParseEvalPipeline:
     def test_metrics_log_is_json_lines(self, trained_toy):
         model_path, *_ = trained_toy
-        rows = [json.loads(line) for line in open(model_path + ".metrics.jsonl")]
+        rows = metrics_rows(model_path)
         assert len(rows) == 60
         for row in rows[:3]:
             assert set(row) == {"epoch", "train_loss", "dev_uas", "dev_las", "filter_oracle"}
@@ -168,23 +173,23 @@ class TestTrainParseEvalPipeline:
         again = parse_conllu(out_path.read_text(encoding="utf-8"))
         assert len(again) == 16
 
-    def test_thread_cap_gives_identical_output(self, trained_toy, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(bogus=1), "unknown key 'bogus'"),
+        (lambda m: m.pop("kind"), "missing key 'kind'"),
+    ], ids=["unknown", "missing"])
+    def test_bad_model_keys_in_checkpoint_rejected(self, trained_toy, tmp_path, capsys, edit, message):
         model_path, _, dev_path, _ = trained_toy
-        single = tmp_path / "single.conllu"
-        multi = tmp_path / "multi.conllu"
-        assert main(["parse", "--model", model_path, "--input", dev_path,
-                     "--output", str(single)]) == 0
-        monkeypatch.setenv("ARCFORGE_THREADS", "3")
-        assert main(["parse", "--model", model_path, "--input", dev_path,
-                     "--output", str(multi)]) == 0
-        assert single.read_text() == multi.read_text()
-
-    def test_bad_thread_env_rejected(self, trained_toy, tmp_path, monkeypatch):
-        model_path, _, dev_path, _ = trained_toy
-        monkeypatch.setenv("ARCFORGE_THREADS", "many")
-        with pytest.raises(SystemExit):
-            main(["parse", "--model", model_path, "--input", dev_path,
-                  "--output", str(tmp_path / "x.conllu")])
+        with np.load(model_path) as z:
+            arrays = {key: z[key] for key in z.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        edit(meta["model"])
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        bad_path = str(tmp_path / "bad.npz")
+        np.savez(bad_path, **arrays)
+        assert main(["parse", "--model", bad_path, "--input", dev_path,
+                     "--output", str(tmp_path / "x.conllu")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad_path}: bad model config: ") and message in err
 
     def test_seed_flag_overrides_config(self, toy_files, tmp_path, capsys):
         train_path, dev_path, _ = toy_files
@@ -197,9 +202,9 @@ class TestTrainParseEvalPipeline:
             "train_file": train_path, "dev_file": dev_path, "model_out": model_path,
         }), encoding="utf-8")
         a = main(["train", "--config", str(cfg), "--seed", "7"])
-        rows_a = [json.loads(line) for line in open(model_path + ".metrics.jsonl")]
+        rows_a = metrics_rows(model_path)
         b = main(["train", "--config", str(cfg), "--seed", "7"])
-        rows_b = [json.loads(line) for line in open(model_path + ".metrics.jsonl")]
+        rows_b = metrics_rows(model_path)
         assert a == b == 0
         assert rows_a == rows_b
 

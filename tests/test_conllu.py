@@ -84,6 +84,12 @@ class TestParse:
         with pytest.raises(ConlluError, match="line 4: token id 3 where 1 was expected"):
             parse_conllu(TWO_TOKENS + "\n3\tc\t_\tX\t_\t_\t0\troot\t_\t_\n")
 
+    @pytest.mark.parametrize("bad_id", ["x-y", "1-", "-1", "2.", "1.x", "1-2-3"])
+    def test_malformed_range_or_node_id_rejected_at_its_line(self, bad_id):
+        text = f"1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n{bad_id}\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+        with pytest.raises(ConlluError, match="line 2: "):
+            parse_conllu(text)
+
     def test_head_error_after_multiword_line_names_its_own_line(self):
         text = (
             "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n"

@@ -177,17 +177,19 @@ class TestRegistryGroups:
         assert "scorer.arc_tensor" in names
 
     def test_gradcheck_mode_uses_plain_gather(self, toy_corpus, toy_vocab):
-        # st_grad=False must leave the filter head without gradient
+        # eval mode keeps plain gathers, so the filter head gets no gradient;
+        # train mode makes the kept vectors straight-through
         model = build_model(arc_cfg(toy_vocab, layers=1, k=2), toy_vocab, seed=11)
         model.eval()
         sent = toy_corpus[0][0]
-        fwd = model.forward_parse(sent, toy_vocab, st_grad=False)
+        fwd = model.forward_parse(sent, toy_vocab)
         model.zero_grad()
         from arcforge.tensor import tsum
 
         tsum(fwd.scores).backward()
         assert model.scorer.filter_head.weight.grad is None
-        fwd2 = model.forward_parse(sent, toy_vocab, st_grad=True)
+        model.train()
+        fwd2 = model.forward_parse(sent, toy_vocab)
         model.zero_grad()
         tsum(fwd2.scores).backward()
         assert model.scorer.filter_head.weight.grad is not None

@@ -14,6 +14,7 @@ from arcforge.training import (
     SwaState,
     TrainConfig,
     clip_gradients,
+    evaluate_model,
     formula_param_count,
     head_selection_loss,
     label_loss,
@@ -327,6 +328,13 @@ class TestTrainLoop:
                     TrainConfig(epochs=50, lr=1e-3, use_swa=False, seed=0),
                     early_stop_fn=lambda epoch, m: epoch >= 2)
         assert len(res.metrics) == 2
+
+    def test_evaluate_restores_training_mode_after_an_error(self, toy_corpus, toy_vocab):
+        model = build_model(toy_model_config(toy_vocab), toy_vocab, seed=0)
+        assert model.training
+        with pytest.raises(ValueError, match="unknown decoder"):
+            evaluate_model(model, toy_corpus[1][:1], toy_vocab, decoder="viterbi")
+        assert model.training
 
 
 class TestSentenceLoss:
