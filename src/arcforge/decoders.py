@@ -57,12 +57,24 @@ def is_projective(heads: list[int]) -> bool:
     return True
 
 
+def _stripe(chart: np.ndarray, row: int, col: int, w: int, down: bool) -> np.ndarray:
+    """The (n - w) x w view of an (n+1) x (n+1) chart whose row i holds the w
+    cells that start at chart[row + i, col + i] and run along that row, or
+    down that column if ``down``: the split candidates of every width-w span
+    at once (Zhang, Li & Zhang 2020)."""
+    rows, cols = chart.strides
+    return np.ndarray((chart.shape[0] - 1 - w, w), chart.dtype, chart, row * rows + col * cols,
+                      (rows + cols, rows if down else cols))
+
+
 def eisner(scores: np.ndarray) -> list[int]:
     """Maximum projective single-root tree in O(n^3) time, O(n^2) space.
 
-    The chart runs over word positions 1..n; the root arc is attached
-    afterwards, once, to the best chart decomposition, which enforces
-    the single-root constraint exactly.
+    The chart runs over word positions 1..n and is filled one span width
+    at a time, each width with whole-matrix ops; the root arc is attached
+    afterwards, once, to the best chart decomposition, which enforces the
+    single-root constraint exactly. Ties go to the first split and the
+    first root child.
     """
     n = scores.shape[0] - 1
     if n == 0:
@@ -78,31 +90,31 @@ def eisner(scores: np.ndarray) -> list[int]:
     bp_cr = np.zeros((n + 1, n + 1), dtype=int)
     bp_i = np.zeros((n + 1, n + 1), dtype=int)  # shared by both incomplete spans
 
-    for length in range(1, n):
-        for s in range(1, n - length + 1):
-            t = s + length
-            # incomplete: choose split q in [s, t)
-            combo = c_right[s, s:t] + c_left[s + 1:t + 1, t]
-            q = int(np.argmax(combo))
-            i_left[s, t] = scores[t, s] + combo[q]
-            i_right[s, t] = scores[s, t] + combo[q]
-            bp_i[s, t] = s + q
-            # complete headed at t: split q in [s, t)
-            combo = c_left[s, s:t] + i_left[s:t, t]
-            q = int(np.argmax(combo))
-            c_left[s, t] = combo[q]
-            bp_cl[s, t] = s + q
-            # complete headed at s: split q in (s, t]
-            combo = i_right[s, s + 1:t + 1] + c_right[s + 1:t + 1, t]
-            q = int(np.argmax(combo))
-            c_right[s, t] = combo[q]
-            bp_cr[s, t] = s + 1 + q
+    for w in range(1, n):
+        # every span [s, t] of width w; row s - 1 of each stripe holds its splits
+        s = np.arange(1, n - w + 1)
+        t = s + w
+        at = s - 1
+        # incomplete: c_right[s, q] + c_left[q + 1, t] for split q in [s, t)
+        combo = _stripe(c_right, 1, 1, w, down=False) + _stripe(c_left, 2, 1 + w, w, down=True)
+        q = combo.argmax(axis=1)
+        best = combo[at, q]
+        i_left[s, t] = scores[t, s] + best
+        i_right[s, t] = scores[s, t] + best
+        bp_i[s, t] = s + q
+        # complete headed at t: c_left[s, q] + i_left[q, t] for q in [s, t);
+        # reads the incomplete spans of width w filled just above
+        combo = _stripe(c_left, 1, 1, w, down=False) + _stripe(i_left, 1, 1 + w, w, down=True)
+        q = combo.argmax(axis=1)
+        c_left[s, t] = combo[at, q]
+        bp_cl[s, t] = s + q
+        # complete headed at s: i_right[s, q] + c_right[q, t] for q in (s, t]
+        combo = _stripe(i_right, 1, 2, w, down=False) + _stripe(c_right, 2, 1 + w, w, down=True)
+        q = combo.argmax(axis=1)
+        c_right[s, t] = combo[at, q]
+        bp_cr[s, t] = s + 1 + q
 
-    best_c, best_val = 1, NEG_INF
-    for c in range(1, n + 1):
-        val = scores[0, c] + c_left[1, c] + c_right[c, n]
-        if val > best_val:
-            best_val, best_c = val, c
+    best_c = 1 + int(np.argmax(scores[0, 1:] + c_left[1, 1:] + c_right[1:, n]))
 
     heads = [0] * (n + 1)
     stack = [("cl", 1, best_c), ("cr", best_c, n)]
@@ -175,11 +187,11 @@ def cle(scores: np.ndarray) -> list[int]:
         keep = np.ones(len(s), dtype=bool)
         keep[cyc] = False
         rest = np.flatnonzero(keep)  # rest[0] is the root
-        enter = s[np.ix_(rest, cyc)] - s[best[cyc], cyc]
-        leave = s[np.ix_(cyc, rest)]
+        enter = s[rest[:, None], cyc] - s[best[cyc], cyc]
+        leave = s[cyc[:, None], rest]
         k = len(rest)
         t = np.full((k + 1, k + 1), NEG_INF)
-        t[:k, :k] = s[np.ix_(rest, rest)]
+        t[:k, :k] = s[rest[:, None], rest]
         t[:k, k] = enter.max(axis=1)
         t[k, 1:k] = leave[:, 1:].max(axis=0)
         levels.append((best, cyc, rest, enter.argmax(axis=1), leave.argmax(axis=0)))

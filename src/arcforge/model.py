@@ -138,8 +138,7 @@ class _ParserBase(Module):
             s = fwd.scores.data  # the decoders ignore the masked diagonal and root column
             heads = eisner(s) if decoder == "eisner" else cle(s)
             arcs = [(heads[j - 1], j) for j in range(1, fwd.n + 1)]
-            logits = fwd.label_logits_for(arcs).data if arcs else []
-        label_ids = [int(np.argmax(row)) for row in logits]
+            label_ids = fwd.label_logits_for(arcs).data.argmax(axis=1).tolist() if arcs else []
         labels = [vocab.label_name(i) for i in label_ids]
         kept = fwd.filter_output.kept_heads if fwd.filter_output is not None else None
         return ParseResult(heads=heads, label_ids=label_ids, labels=labels,

@@ -543,12 +543,23 @@ def argsort_descending(x) -> np.ndarray:
 # -- verification harness ----------------------------------------------
 
 
+# On a smooth f the one-sided differences (f(x+eps) - f(x)) / eps and
+# (f(x) - f(x-eps)) / eps differ by about |f''| * eps. A coordinate where
+# they differ by more than a second derivative of KINK_CURVATURE times the
+# gradient's scale would give straddles a kink, such as a ReLU input within
+# eps of 0, where the central difference matches neither side's slope.
+KINK_CURVATURE = 100.0
+
+
 def grad_check(f: Callable[[], Tensor], theta: Tensor, eps: float = 1e-5,
-               max_coords: int | None = None, rng: np.random.Generator | None = None) -> float:
+               max_coords: int | None = None, rng: np.random.Generator | None = None,
+               kinks: list[int] | None = None) -> float:
     """Compare autodiff against central differences on scalar f().
 
     Returns max over checked coordinates of
     |g_ad - g_fd| / max(1, |g_ad|, |g_fd|).
+    Coordinates that straddle a kink (see ``KINK_CURVATURE``) are skipped,
+    and their flat indices appended to ``kinks`` if it is given.
     ``f`` must rebuild its graph from ``theta.data`` on every call.
     """
     if _DEFAULT_DTYPE is not np.float64:
@@ -559,6 +570,7 @@ def grad_check(f: Callable[[], Tensor], theta: Tensor, eps: float = 1e-5,
     out = f()
     if out.data.size != 1 or not np.isfinite(out.data).all():
         raise ValueError("grad_check objective is non-scalar or non-finite")
+    f0 = out.item()
     out.backward()
     g_ad = theta.grad.reshape(-1) if theta.grad is not None else np.zeros(theta.data.size)
     flat = theta.data.reshape(-1)
@@ -589,6 +601,10 @@ def grad_check(f: Callable[[], Tensor], theta: Tensor, eps: float = 1e-5,
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise ValueError("grad_check objective became non-finite under perturbation")
         g_fd = (fp - fm) / (2.0 * eps)
-        err = abs(g_ad[c] - g_fd) / max(1.0, abs(g_ad[c]), abs(g_fd))
-        worst = max(worst, err)
+        scale = max(1.0, abs(g_ad[c]), abs(g_fd))
+        if abs((fp - f0) / eps - (f0 - fm) / eps) > KINK_CURVATURE * eps * scale:
+            if kinks is not None:
+                kinks.append(int(c))
+            continue
+        worst = max(worst, abs(g_ad[c] - g_fd) / scale)
     return worst

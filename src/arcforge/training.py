@@ -229,9 +229,12 @@ def formula_param_count(kind: str, n_labels: int, x: int | None = None, y: int |
 
 def end_to_end_grad_check(model: _ParserBase, sentence: Sentence, vocab: Vocab,
                           eps: float = 1e-5, coords_per_param: int = 4,
-                          rng: np.random.Generator | None = None) -> float:
+                          rng: np.random.Generator | None = None,
+                          kinks: list[tuple[str, int]] | None = None) -> float:
     """Finite-difference check of the full sentence loss against autodiff,
-    maxed over sampled coordinates of every parameter.
+    maxed over sampled coordinates of every parameter. Coordinates that
+    straddle a kink are skipped, and appended to ``kinks`` as
+    (parameter name, flat index) if it is given.
 
     Runs in eval mode: dropout and filter noise off, and the top-k filter
     selects by plain differentiable gather, so the finite-difference
@@ -244,10 +247,13 @@ def end_to_end_grad_check(model: _ParserBase, sentence: Sentence, vocab: Vocab,
     model.eval()
     try:
         worst = 0.0
-        for _, p in model.named_parameters():
+        for name, p in model.named_parameters():
+            skipped: list[int] = []
             err = grad_check(lambda: sentence_loss(model, sentence, vocab), p,
-                             eps=eps, max_coords=coords_per_param, rng=rng)
+                             eps=eps, max_coords=coords_per_param, rng=rng, kinks=skipped)
             worst = max(worst, err)
+            if kinks is not None:
+                kinks.extend((name, c) for c in skipped)
         return worst
     finally:
         model.train(was_training)

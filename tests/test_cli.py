@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arcforge import encoder, refiner, scorers
+from arcforge import tensor as T
 from arcforge.cli import main
 from arcforge.config import RunConfig
 from arcforge.conllu import parse_conllu, write_conllu
@@ -95,6 +97,9 @@ class TestParamsCommand:
 
 
 class TestGradcheckCommand:
+    KINK = {"model_kind": "arcloc", "emb_dim": 16, "context_layers": 0, "d": 8, "r": 8,
+            "mlp_dropout": 0.0}
+
     def test_small_arcloc_model_passes(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json", json.dumps({
             "model_kind": "arcloc", "emb_dim": 16, "context_layers": 1,
@@ -105,6 +110,28 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "max relative error" in out
         assert float(out.split(":")[1]) < 1e-5
+
+    def test_relu_kink_skipped_not_failed(self, tmp_path, capsys):
+        # at seed 3 two sampled coordinates move a ReLU input across 0
+        cfg = write(tmp_path / "cfg.json", json.dumps(self.KINK))
+        assert main(["gradcheck", "--config", cfg, "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        skipped = int(re.search(r"skipped (\d+) coordinates at kinks", out).group(1))
+        assert 1 <= skipped <= 3
+        assert float(out.split(":")[1]) < 1e-5
+
+    def test_scaled_relu_gradient_fails(self, tmp_path, capsys, monkeypatch):
+        def bad_relu(a):
+            def _bw(g):
+                T._accum(a, 1.01 * g * (a.data > 0))
+            return T.Tensor._from_op(np.maximum(a.data, 0.0), (a,), _bw)
+
+        for module in (encoder, refiner, scorers):
+            monkeypatch.setattr(module, "relu", bad_relu)
+        cfg = write(tmp_path / "cfg.json", json.dumps(self.KINK))
+        for seed in (3, 4):
+            assert main(["gradcheck", "--config", cfg, "--seed", str(seed)]) == 1
+            assert float(capsys.readouterr().out.split(":")[1]) > 1e-3
 
     def test_loc_model_passes(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json", json.dumps({

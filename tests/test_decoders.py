@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcforge.decoders import (
@@ -141,6 +141,73 @@ def reference_cle(scores):
     return best_heads[1:].tolist()
 
 
+# The cell-by-cell chart loop that eisner's width-at-a-time fill replaced,
+# kept as a reference: the same additions and first-max tie-breaking, so
+# the heads must be identical, not just equal in score.
+
+
+def reference_eisner(scores):
+    n = scores.shape[0] - 1
+    if n == 0:
+        return []
+    if n == 1:
+        return [0]
+    c_left = np.zeros((n + 1, n + 1))
+    c_right = np.zeros((n + 1, n + 1))
+    i_left = np.zeros((n + 1, n + 1))
+    i_right = np.zeros((n + 1, n + 1))
+    bp_cl = np.zeros((n + 1, n + 1), dtype=int)
+    bp_cr = np.zeros((n + 1, n + 1), dtype=int)
+    bp_i = np.zeros((n + 1, n + 1), dtype=int)
+
+    for length in range(1, n):
+        for s in range(1, n - length + 1):
+            t = s + length
+            combo = c_right[s, s:t] + c_left[s + 1:t + 1, t]
+            q = int(np.argmax(combo))
+            i_left[s, t] = scores[t, s] + combo[q]
+            i_right[s, t] = scores[s, t] + combo[q]
+            bp_i[s, t] = s + q
+            combo = c_left[s, s:t] + i_left[s:t, t]
+            q = int(np.argmax(combo))
+            c_left[s, t] = combo[q]
+            bp_cl[s, t] = s + q
+            combo = i_right[s, s + 1:t + 1] + c_right[s + 1:t + 1, t]
+            q = int(np.argmax(combo))
+            c_right[s, t] = combo[q]
+            bp_cr[s, t] = s + 1 + q
+
+    best_c, best_val = 1, -np.inf
+    for c in range(1, n + 1):
+        val = scores[0, c] + c_left[1, c] + c_right[c, n]
+        if val > best_val:
+            best_val, best_c = val, c
+
+    heads = [0] * (n + 1)
+    stack = [("cl", 1, best_c), ("cr", best_c, n)]
+    while stack:
+        kind, s, t = stack.pop()
+        if s == t:
+            continue
+        if kind == "cl":
+            q = bp_cl[s, t]
+            stack.append(("cl", s, q))
+            stack.append(("il", q, t))
+        elif kind == "cr":
+            q = bp_cr[s, t]
+            stack.append(("ir", s, q))
+            stack.append(("cr", q, t))
+        else:
+            if kind == "il":
+                heads[s] = t
+            else:
+                heads[t] = s
+            q = bp_i[s, t]
+            stack.append(("cr", s, q))
+            stack.append(("cl", q + 1, t))
+    return heads[1:]
+
+
 def random_projective_tree(n, rng):
     """Heads of a random projective tree: every subtree covers a span."""
     heads = [0] * n
@@ -162,8 +229,10 @@ def random_projective_tree(n, rng):
 
 
 @st.composite
-def score_matrices(draw):
-    n = draw(st.integers(1, 60))
+def score_matrices(draw, max_n=60, missing_arcs=False):
+    """Uniform, root-heavy or tied scores; with ``missing_arcs``, some of
+    them also get arcs at -inf."""
+    n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     s = random_scores(n, rng)
     kind = draw(st.sampled_from(["uniform", "root-heavy", "ties"]))
@@ -171,6 +240,8 @@ def score_matrices(draw):
         s[0, 1:] += draw(st.floats(0.0, 20.0))
     elif kind == "ties":
         s = np.round(s * 2) / 2
+    if missing_arcs and draw(st.booleans()):
+        s[rng.random(s.shape) < draw(st.floats(0.0, 0.5))] = -np.inf
     return s
 
 
@@ -192,10 +263,10 @@ class TestEisner:
     def test_empty(self):
         assert eisner(np.zeros((1, 1))) == []
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_brute_force(self, n):
         rng = np.random.default_rng(100 + n)
-        for _ in range(50):
+        for _ in range(5 if n == 7 else 50):
             s = random_scores(n, rng)
             heads = eisner(s)
             _, best = brute_force_best_tree(s, projective=True)
@@ -220,6 +291,13 @@ class TestEisner:
             valid = np.isfinite(s)
             shifted[valid] += 13.7
             assert eisner(s) == eisner(shifted)
+
+    @settings(max_examples=80, deadline=None)
+    @given(score_matrices(max_n=80, missing_arcs=True))
+    @example(np.zeros((7, 7)))  # every split and root child tied
+    @example(np.full((6, 6), -np.inf))
+    def test_same_heads_as_reference(self, s):
+        assert eisner(s) == reference_eisner(s)
 
 
 class TestCle:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from arcforge.conllu import Sentence
 from arcforge.decoders import cle, is_projective, is_single_root_tree, tree_score
 from arcforge.model import (
     ArcLocModel,
@@ -54,6 +55,13 @@ class TestPredict:
                 assert len(res.labels) == len(sent)
                 if decoder == "eisner":
                     assert is_projective(res.heads)
+
+    def test_empty_sentence_gives_empty_parse(self, toy_vocab):
+        model = build_model(arc_cfg(toy_vocab), toy_vocab, seed=2)
+        model.eval()
+        for decoder in ("eisner", "mst"):
+            res = model.predict(Sentence([]), toy_vocab, decoder=decoder)
+            assert (res.heads, res.label_ids, res.labels) == ([], [], [])
 
     def test_unknown_decoder_rejected(self, toy_corpus, toy_vocab):
         model = build_model(arc_cfg(toy_vocab), toy_vocab, seed=2)

@@ -314,6 +314,20 @@ class TestGradCheckHarness:
         err = grad_check(lambda: T.cross_entropy_from_logits(logits, targets), logits, eps=1e-5)
         assert err < 1e-6
 
+    def test_kink_skipped_and_reported(self):
+        # relu's input at coordinate 0 lies within eps of 0: its central
+        # difference is 2/3, its autodiff gradient 1
+        x = tt([1e-5 / 3, 1.0])
+        kinks = []
+        assert grad_check(lambda: T.tsum(T.relu(x)), x, eps=1e-5, kinks=kinks) < 1e-8
+        assert kinks == [0]
+
+    def test_curvature_is_not_a_kink(self):
+        x = tt([0.5, -2.0])
+        kinks = []
+        assert grad_check(lambda: T.tsum(x * x * x), x, eps=1e-5, kinks=kinks) < 1e-8
+        assert kinks == []
+
     def test_nonfinite_rejected(self):
         x = tt([1.0])
 
