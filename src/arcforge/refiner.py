@@ -12,7 +12,6 @@ candidate vectors, computed for every modifier in one batched product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +21,10 @@ from .tensor import (
     Tensor,
     arc_expectation,
     argsort_descending,
-    concat,
     embedding_gather,
     layer_norm,
     matmul,
+    multi_head_attention,
     narrow,
     relu,
     reshape,
@@ -107,22 +106,14 @@ class TransformerLayer(Module):
 
     def _attention(self, y: Tensor) -> Tensor:
         global _attn_score_entries
-        t = y.data.shape[0]
-        dk = self.width // self.heads
         if self.exact_counts:
             q = k = y
             v = matmul(y, self.w_value)
         else:
             q, k, v = self.w_query(y), self.w_key(y), self.w_value_proj(y)
-        outs = []
-        for h in range(self.heads):
-            qh = narrow(q, 1, h * dk, dk)
-            kh = narrow(k, 1, h * dk, dk)
-            vh = narrow(v, 1, h * dk, dk)
-            scores = matmul(qh, transpose(kh)) * (1.0 / math.sqrt(dk))
-            _attn_score_entries += t * t
-            outs.append(matmul(softmax(scores, axis=-1), vh))
-        mixed = concat(outs, axis=1) if len(outs) > 1 else outs[0]
+        t = y.data.shape[0]
+        _attn_score_entries += self.heads * t * t
+        mixed = multi_head_attention(q, k, v, self.heads)
         if not self.exact_counts:
             mixed = self.w_out(mixed)
         return mixed

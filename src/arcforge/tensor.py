@@ -59,6 +59,12 @@ def no_grad() -> Iterator[None]:
         _grad_mode.enabled = previous
 
 
+def _recorded(prev: Sequence["Tensor"]) -> tuple:
+    """The parents an op's output must keep: those needing a gradient,
+    or none inside ``no_grad()``."""
+    return tuple(p for p in prev if p.requires_grad) if _grad_mode.enabled else ()
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
     if g.shape == shape:
@@ -100,7 +106,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        live = tuple(p for p in prev if p.requires_grad) if _grad_mode.enabled else ()
+        live = _recorded(prev)
         out.requires_grad = bool(live)
         out._prev = live
         out._backward = backward if live else None
@@ -197,8 +203,10 @@ def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
 
     def _bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return Tensor._from_op(a.data + b.data, (a, b), _bw)
 
@@ -215,8 +223,10 @@ def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
 
     def _bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return Tensor._from_op(a.data * b.data, (a, b), _bw)
 
@@ -260,8 +270,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul dimension mismatch: {a.data.shape} @ {b.data.shape}")
 
     def _bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return Tensor._from_op(a.data @ b.data, (a, b), _bw)
 
@@ -339,6 +351,62 @@ def arc_expectation(probs: Tensor, v_flat: Tensor) -> Tensor:
         _accum(v_flat, gv.reshape(big_n * big_n, r))
 
     return Tensor._from_op((probs.data[:, None, :] @ by_mod)[:, 0, :], (probs, v_flat), _bw)
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention of every head, as one node:
+    out[:, h] = softmax(q[:, h] @ k[:, h].T / sqrt(dk)) @ v[:, h], where
+    [:, h] is head h's block of dk = width / heads columns.
+
+    Each head multiplies contiguous copies of its column blocks, because
+    BLAS rounds strided views differently. Per-head arrays are kept for
+    backward only while a graph is recorded; otherwise one head's t x t
+    scores are alive at a time. Raises if a score row is entirely -inf.
+    """
+    if q.data.ndim != 2 or q.data.shape != k.data.shape or q.data.shape != v.data.shape:
+        raise ValueError(f"attention expects equal 2-D q, k, v, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
+    t, width = q.data.shape
+    if heads < 1 or width % heads:
+        raise ValueError(f"head count {heads} does not divide width {width}")
+    dk = width // heads
+    scale = np.asarray(1.0 / math.sqrt(dk), dtype=q.data.dtype)
+    blocks = [slice(h * dk, (h + 1) * dk) for h in range(heads)]
+    saved = [] if _recorded((q, k, v)) else None
+    out = np.empty((t, width), dtype=np.result_type(q.data, v.data))
+    for sl in blocks:
+        qh, kt, vh = q.data[:, sl].copy(), k.data[:, sl].T.copy(), v.data[:, sl].copy()
+        p = qh @ kt
+        p *= scale
+        m = p.max(axis=-1, keepdims=True)
+        if np.isneginf(m).any():
+            raise ValueError("softmax over a fully masked (all -inf) slice")
+        p -= m
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[:, sl] = p @ vh
+        if saved is not None:
+            saved.append((qh, kt, vh, p))
+        del p  # before the next head's scores are allocated
+
+    def _bw(g):
+        gq, gk, gv = (np.zeros_like(x.data) if x.requires_grad else None for x in (q, k, v))
+        for sl, (qh, kt, vh, p) in zip(blocks, saved):
+            gh = np.ascontiguousarray(g[:, sl])  # BLAS rounds strided views differently
+            if gv is not None:
+                gv[:, sl] = p.T @ gh
+            gs = gh @ vh.T  # softmax and scale backward, in place
+            gs -= np.sum(gs * p, axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            if gq is not None:
+                gq[:, sl] = gs @ kt.T
+            if gk is not None:
+                gk[:, sl] = (qh.T @ gs).T
+        for x, gx in ((q, gq), (k, gk), (v, gv)):
+            if gx is not None:
+                _accum(x, gx)
+
+    return Tensor._from_op(out, (q, k, v), _bw)
 
 
 # -- shape ops --------------------------------------------------------

@@ -338,6 +338,7 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
         model.train()
         batches = make_batches(usable, cfg.batch_tokens, shuffle_rng)
         loss_sum, token_sum = 0.0, 0
+        skipped_steps, norms = 0, []
         for b, batch in enumerate(batches):
             progress = (epoch - 1) + b / len(batches)
             lrs = {
@@ -356,8 +357,9 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
                 loss_sum += loss.item() * batch_tokens
             token_sum += batch_tokens
             if cfg.grad_clip is not None:
-                clip_gradients(model.parameters(), cfg.grad_clip)
-            optimizer.step(lrs)
+                norms.append(clip_gradients(model.parameters(), cfg.grad_clip))
+            if not optimizer.step(lrs):
+                skipped_steps += 1
         train_loss = loss_sum / token_sum if token_sum else float("nan")
 
         swa_active = cfg.use_swa and epoch >= cfg.swa_start_epoch
@@ -380,6 +382,9 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
             "dev_uas": dev["uas"],
             "dev_las": dev["las"],
             "filter_oracle": dev["filter_oracle"],
+            "skipped_steps": skipped_steps,
+            # np.max, unlike max(), keeps a NaN norm
+            "grad_norm": float(np.max(norms)) if norms else None,
         }
         metrics.append(row)
         if log_fn is not None:

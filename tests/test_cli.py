@@ -179,7 +179,8 @@ class TestTrainParseEvalPipeline:
         rows = metrics_rows(model_path)
         assert len(rows) == 60
         for row in rows[:3]:
-            assert set(row) == {"epoch", "train_loss", "dev_uas", "dev_las", "filter_oracle"}
+            assert set(row) == {"epoch", "train_loss", "dev_uas", "dev_las", "filter_oracle",
+                                "skipped_steps", "grad_norm"}
 
     def test_overfit_pipeline_reaches_99_uas(self, trained_toy, tmp_path, capsys):
         model_path, train_path, _, _ = trained_toy

@@ -1,5 +1,8 @@
 """Filter, straight-through estimator, and transformer layer tests."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,11 +23,15 @@ from arcforge.tensor import (
     argsort_descending,
     concat,
     embedding_gather,
+    layer_norm,
     matmul,
+    multi_head_attention,
     narrow,
+    no_grad,
     reshape,
     softmax,
     straight_through,
+    transpose,
     tsum,
 )
 
@@ -325,6 +332,84 @@ class TestTransformerLayer:
         reset_attention_entry_count()
         layer(tt(rng.normal(size=(10, 16))))
         assert attention_entry_count() == 4 * 10 * 10
+
+
+def reference_attention(q, k, v, heads):
+    """The per-head composition that multi_head_attention replaces, kept as
+    its oracle."""
+    dk = q.data.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        qh = narrow(q, 1, h * dk, dk)
+        kh = narrow(k, 1, h * dk, dk)
+        vh = narrow(v, 1, h * dk, dk)
+        scores = matmul(qh, transpose(kh)) * (1.0 / math.sqrt(dk))
+        outs.append(matmul(softmax(scores, axis=-1), vh))
+    return concat(outs, axis=1) if len(outs) > 1 else outs[0]
+
+
+@st.composite
+def attention_cases(draw):
+    width = draw(st.sampled_from([2, 3, 4, 6, 8, 12, 16, 32]))
+    return {
+        "t": draw(st.integers(1, 64)),
+        "width": width,
+        "heads": draw(st.sampled_from([h for h in range(1, width + 1) if width % h == 0])),
+        "q_is_k": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _attention_run(attend, case):
+    """Output, no-grad output and gradients of a random objective, with
+    q, k, v built from a shared input as TransformerLayer builds them, so
+    the order in which their gradients reach that input is compared too."""
+    rng = np.random.default_rng(case["seed"])
+    t, width = case["t"], case["width"]
+    x = tt(rng.normal(size=(t, width)) * rng.uniform(0.1, 4.0))
+    ws = [tt(rng.normal(size=(width, width))) for _ in range(3)]
+    y = layer_norm(x)
+    if case["q_is_k"]:  # the exact_counts layer
+        q = k = y
+        v = matmul(y, ws[0])
+    else:
+        q, k, v = (matmul(y, w) for w in ws)
+    out = attend(q, k, v, case["heads"])
+    tsum(out * tt(rng.normal(size=(t, width)), grad=False)).backward()
+    with no_grad():
+        eval_out = attend(q, k, v, case["heads"])
+    return [out.data, eval_out.data] + [a.grad for a in (q, k, v, x, *ws)]
+
+
+class TestMultiHeadAttention:
+    @settings(max_examples=150, deadline=None)
+    @given(attention_cases())
+    def test_bitwise_equal_to_per_head_composition(self, case):
+        got = _attention_run(multi_head_attention, case)
+        ref = _attention_run(reference_attention, case)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+    def test_no_grad_keeps_nothing_and_one_score_matrix(self):
+        rng = np.random.default_rng(12)
+        t, width, heads = 300, 32, 4
+        q, k, v = (tt(rng.normal(size=(t, width))) for _ in range(3))
+
+        def run(attend):
+            tracemalloc.start()
+            try:
+                with no_grad():
+                    out = attend(q, k, v, heads)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        out, peak = run(multi_head_attention)
+        ref, ref_peak = run(reference_attention)
+        assert out._prev == () and out._backward is None and not out.requires_grad
+        assert np.array_equal(out.data, ref.data)
+        assert peak < ref_peak
+        assert peak < 2 * t * t * 8  # one head's float64 scores at a time
 
 
 class TestRefine:

@@ -128,6 +128,39 @@ class TestSoftmax:
             T.softmax(tt([-np.inf, -np.inf]))
 
 
+class TestMultiHeadAttention:
+    @pytest.mark.parametrize("operand", ["q", "k", "v", "q-is-k"])
+    def test_gradcheck(self, operand):
+        rng = np.random.default_rng(17)
+        q, k, v = (tt(rng.normal(size=(5, 6))) for _ in range(3))
+        w = tt(rng.normal(size=(5, 6)), grad=False)
+        if operand == "q-is-k":
+            theta, k = q, q
+        else:
+            theta = {"q": q, "k": k, "v": v}[operand]
+        err = grad_check(lambda: T.tsum(T.multi_head_attention(q, k, v, 2) * w), theta, eps=1e-5)
+        assert err < 1e-6
+
+    def test_fully_masked_row_raises(self):
+        # row 1 of head 0 scores inf * -1 + 1 * -1 = -inf against every key;
+        # BLAS may still flag an invalid operation on the inf operand
+        q = np.ones((3, 4))
+        q[1, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="all -inf"):
+            T.multi_head_attention(tt(q), tt(-np.ones((3, 4))), tt(np.ones((3, 4))), 2)
+
+    @pytest.mark.parametrize("shapes,heads,message", [
+        (((3, 4), (3, 4), (3, 4)), 3, "does not divide"),
+        (((3, 4), (3, 4), (3, 4)), 0, "does not divide"),
+        (((3, 4), (2, 4), (3, 4)), 2, "equal 2-D"),
+        (((3, 4), (3, 4), (3, 2)), 2, "equal 2-D"),
+    ])
+    def test_bad_shapes_rejected(self, shapes, heads, message):
+        q, k, v = (tt(np.zeros(s)) for s in shapes)
+        with pytest.raises(ValueError, match=message):
+            T.multi_head_attention(q, k, v, heads)
+
+
 class TestLayerNorm:
     def test_constant_row(self):
         out = T.layer_norm(tt([1.0, 1.0]))

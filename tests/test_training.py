@@ -329,6 +329,35 @@ class TestTrainLoop:
                     early_stop_fn=lambda epoch, m: epoch >= 2)
         assert len(res.metrics) == 2
 
+    def test_skipped_steps_and_grad_norm_per_epoch(self, toy_corpus, toy_vocab, monkeypatch):
+        import arcforge.training as tr
+
+        clip = tr.clip_gradients
+        calls = []
+
+        def poison_first_batch(params, max_norm):
+            if not calls:
+                params[0].grad[(0,) * params[0].grad.ndim] = np.nan
+            calls.append(max_norm)
+            return clip(params, max_norm)
+
+        monkeypatch.setattr(tr, "clip_gradients", poison_first_batch)
+        model = build_model(toy_model_config(toy_vocab), toy_vocab, seed=0)
+        res = tr.train(model, toy_corpus[0], [], toy_vocab,
+                       TrainConfig(epochs=2, lr=1e-3, batch_tokens=40, use_swa=False, seed=0,
+                                   grad_clip=1.0))
+        assert len(calls) > 2  # several batches per epoch
+        assert [row["skipped_steps"] for row in res.metrics] == [1, 0]
+        assert math.isnan(res.metrics[0]["grad_norm"])
+        assert 0.0 < res.metrics[1]["grad_norm"] < math.inf
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
+
+        model = build_model(toy_model_config(toy_vocab), toy_vocab, seed=0)
+        res = tr.train(model, toy_corpus[0], [], toy_vocab,
+                       TrainConfig(epochs=1, lr=1e-3, use_swa=False, seed=0))
+        assert res.metrics[0]["skipped_steps"] == 0
+        assert res.metrics[0]["grad_norm"] is None
+
     def test_evaluate_restores_training_mode_after_an_error(self, toy_corpus, toy_vocab):
         model = build_model(toy_model_config(toy_vocab), toy_vocab, seed=0)
         assert model.training
