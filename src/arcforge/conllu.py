@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from sys import intern
 
 from .decoders import check_tree
 
@@ -23,8 +24,12 @@ class ConlluError(ValueError):
         self.line = line
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
+    """One word. Slotted, and ``parse_conllu`` interns ``upos`` and
+    ``gold_label``, whose inventories are tiny, so a read corpus holds one
+    small object and one fresh string (the form) per word."""
+
     form: str
     upos: str
     gold_head: int
@@ -59,31 +64,38 @@ def parse_conllu(text: str) -> list[Sentence]:
         if not tokens:
             return
         heads = [t.gold_head for t in tokens]
-        for j, (h, lineno) in enumerate(zip(heads, token_lines), start=1):
-            if h > len(tokens):
-                raise ConlluError(f"HEAD {h} out of range for a {len(tokens)}-token sentence", lineno)
-            if h == j:
-                raise ConlluError(f"token {j} is its own head", lineno)
         if not check_tree(heads):
+            n = len(heads)
+            for j, (h, lineno) in enumerate(zip(heads, token_lines), start=1):
+                if h > n:
+                    raise ConlluError(f"HEAD {h} out of range for a {n}-token sentence", lineno)
+                if h == j:
+                    raise ConlluError(f"token {j} is its own head", lineno)
             raise ConlluError("gold heads do not form a tree rooted at 0", token_lines[0])
         sentences.append(Sentence(tokens))
         tokens, token_lines = [], []
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip("\r")
-        if not line.strip():
-            flush()
-            continue
-        if line.lstrip().startswith("#"):
-            continue
+    for lineno, line in enumerate(text.split("\n"), start=1):
         cols = line.split("\t")
-        if len(cols) < 8:
-            cols = line.split()
-        if len(cols) < 8:
-            raise ConlluError(f"expected at least 8 columns, got {len(cols)}", lineno)
         tok_id = cols[0]
-        if _SKIPPED_ID.fullmatch(tok_id):
-            continue
+        # An ordinary word line (at least 8 tab-separated columns, an all-digit
+        # id, no CR at its end) needs none of the checks below: it is not blank,
+        # not a comment, not a range or empty node, and has no CR to strip.
+        if not (len(cols) >= 8 and tok_id.isdigit() and line[-1] != "\r"):
+            line = line.strip("\r")
+            if not line.strip():
+                flush()
+                continue
+            if line.lstrip().startswith("#"):
+                continue
+            cols = line.split("\t")
+            if len(cols) < 8:
+                cols = line.split()
+            if len(cols) < 8:
+                raise ConlluError(f"expected at least 8 columns, got {len(cols)}", lineno)
+            tok_id = cols[0]
+            if _SKIPPED_ID.fullmatch(tok_id):
+                continue
         try:
             tok_id = int(tok_id)
         except ValueError:
@@ -96,7 +108,7 @@ def parse_conllu(text: str) -> list[Sentence]:
             raise ConlluError(f"non-integer HEAD {cols[6]!r}", lineno) from None
         if head < 0:
             raise ConlluError(f"negative HEAD {head}", lineno)
-        tokens.append(Token(form=cols[1], upos=cols[3], gold_head=head, gold_label=cols[7]))
+        tokens.append(Token(cols[1], intern(cols[3]), head, intern(cols[7])))
         token_lines.append(lineno)
     flush()
     return sentences

@@ -23,24 +23,26 @@ def tree_score(scores: np.ndarray, heads: list[int]) -> float:
 
 
 def check_tree(heads: list[int]) -> bool:
-    """True iff heads (1-indexed positions, 0 = root) form a tree rooted at 0."""
+    """True iff heads (1-indexed positions, 0 = root) form a tree rooted at 0.
+
+    Walks up from each word once. ``walk[v]`` is 0 while v is unseen and
+    then the word whose walk first reached it: a walk that meets its own
+    mark has closed a cycle, and one that meets an earlier walk's mark (or
+    the root) reaches the root, since that walk did.
+    """
     n = len(heads)
-    if any(not 0 <= h <= n for h in heads):
-        return False
-    if any(heads[j - 1] == j for j in range(1, n + 1)):
-        return False
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    for j in range(1, n + 1):
-        children[heads[j - 1]].append(j)
-    seen = set()
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        if v in seen:
+    walk = [0] * (n + 1)
+    walk[0] = -1
+    for start in range(1, n + 1):
+        v = start
+        while not walk[v]:
+            walk[v] = start
+            v = heads[v - 1]
+            if not 0 <= v <= n:
+                return False
+        if walk[v] == start:
             return False
-        seen.add(v)
-        stack.extend(children[v])
-    return len(seen) == n + 1
+    return True
 
 
 def is_single_root_tree(heads: list[int]) -> bool:

@@ -7,7 +7,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor, add, matmul
+from .tensor import Tensor, linear
 
 
 def glorot_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,7 +126,4 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.weight)
-        if self.bias is not None:
-            y = add(y, self.bias)
-        return y
+        return linear(x, self.weight, self.bias)

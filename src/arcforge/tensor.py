@@ -262,20 +262,32 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
 # -- linear algebra ---------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.data.shape} @ {b.data.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w (+ b)`` as one node, so the product before the bias is not
+    kept until backward. Values and gradients are bitwise those of
+    ``add(matmul(x, w), b)``."""
+    x, w = _lift(x), _lift(w)
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError(f"matmul expects 2-D operands, got {x.data.shape} @ {w.data.shape}")
+    if x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {x.data.shape} @ {w.data.shape}")
+    y = x.data @ w.data
+    if b is not None:
+        y = y + b.data
 
     def _bw(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        if b is not None and b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
-    return Tensor._from_op(a.data @ b.data, (a, b), _bw)
+    return Tensor._from_op(y, (x, w) if b is None else (x, w, b), _bw)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    return linear(a, b)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -1,6 +1,10 @@
 """CoNLL-U parsing, writing, and vocabulary tests."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arcforge.conllu import (
     ConlluError,
@@ -13,6 +17,87 @@ from arcforge.conllu import (
     write_conllu,
 )
 
+# The tree check and the line loop as they were before the reader took a
+# fast path for ordinary word lines, kept as references: the reader must
+# return the same tokens, or raise the same error at the same line.
+
+
+def reference_check_tree(heads):
+    n = len(heads)
+    if any(not 0 <= h <= n for h in heads):
+        return False
+    if any(heads[j - 1] == j for j in range(1, n + 1)):
+        return False
+    children = [[] for _ in range(n + 1)]
+    for j in range(1, n + 1):
+        children[heads[j - 1]].append(j)
+    seen = set()
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            return False
+        seen.add(v)
+        stack.extend(children[v])
+    return len(seen) == n + 1
+
+
+_REFERENCE_SKIPPED_ID = re.compile(r"\d+-\d+|\d+\.\d+")
+
+
+def reference_parse_conllu(text):
+    sentences = []
+    tokens = []
+    token_lines = []
+
+    def flush():
+        nonlocal tokens, token_lines
+        if not tokens:
+            return
+        heads = [t.gold_head for t in tokens]
+        for j, (h, lineno) in enumerate(zip(heads, token_lines), start=1):
+            if h > len(tokens):
+                raise ConlluError(f"HEAD {h} out of range for a {len(tokens)}-token sentence", lineno)
+            if h == j:
+                raise ConlluError(f"token {j} is its own head", lineno)
+        if not reference_check_tree(heads):
+            raise ConlluError("gold heads do not form a tree rooted at 0", token_lines[0])
+        sentences.append(Sentence(tokens))
+        tokens, token_lines = [], []
+
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip("\r")
+        if not line.strip():
+            flush()
+            continue
+        if line.lstrip().startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) < 8:
+            cols = line.split()
+        if len(cols) < 8:
+            raise ConlluError(f"expected at least 8 columns, got {len(cols)}", lineno)
+        tok_id = cols[0]
+        if _REFERENCE_SKIPPED_ID.fullmatch(tok_id):
+            continue
+        try:
+            tok_id = int(tok_id)
+        except ValueError:
+            raise ConlluError(f"bad token id {tok_id!r}", lineno) from None
+        if tok_id != len(tokens) + 1:
+            raise ConlluError(f"token id {tok_id} where {len(tokens) + 1} was expected", lineno)
+        try:
+            head = int(cols[6])
+        except ValueError:
+            raise ConlluError(f"non-integer HEAD {cols[6]!r}", lineno) from None
+        if head < 0:
+            raise ConlluError(f"negative HEAD {head}", lineno)
+        tokens.append(Token(form=cols[1], upos=cols[3], gold_head=head, gold_label=cols[7]))
+        token_lines.append(lineno)
+    flush()
+    return sentences
+
+
 TWO_TOKENS = "1\tdog\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n2\truns\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
 
 FRENCH_MWT = """# a multiword-token line must be skipped
@@ -22,6 +107,74 @@ FRENCH_MWT = """# a multiword-token line must be skipped
 3\tde\t_\tADP\t_\t_\t4\tcase\t_\t_
 4\tbout\t_\tNOUN\t_\t_\t1\tobl\t_\t_
 """
+
+
+def _tree_heads(draw, n):
+    """Heads of a random forest over 0: each word attaches to the root or to
+    a word attached before it."""
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * n
+    for pos, j in enumerate(order):
+        parent = draw(st.integers(-1, pos - 1))
+        heads[j - 1] = order[parent] if parent >= 0 else 0
+    return heads
+
+
+@st.composite
+def head_arrays(draw):
+    """Trees, trees with one head changed, and arbitrary arrays: out-of-range
+    heads, self-loops, cycles and forests."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-2, n + 2), min_size=n, max_size=n))
+    heads = _tree_heads(draw, n)
+    if n and draw(st.booleans()):
+        heads[draw(st.integers(0, n - 1))] = draw(st.integers(-2, n + 2))
+    return heads
+
+
+def _odd(draw, usual, odd, weight=8):
+    """``usual``, or now and then one of ``odd``."""
+    return draw(st.sampled_from([usual] * weight + odd))
+
+
+@st.composite
+def conllu_texts(draw):
+    """CoNLL-U-like text: mostly well-formed sentences with comments,
+    multiword ranges, empty nodes, CRLF and lone CR ends, stray whitespace,
+    space-separated lines and runs of blank lines, plus bad ids, bad HEADs
+    and heads that close cycles."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        heads = _tree_heads(draw, n) if draw(st.booleans()) else [draw(st.integers(0, n)) for _ in range(n)]
+        for j in range(1, n + 1):
+            kind = _odd(draw, "word", ["comment", "range", "empty"], weight=20)
+            if kind == "comment":
+                lines.append(draw(st.sampled_from(["# sent_id = 1", "  # text = a b", "#\t1\t2\t3\t4\t5\t6\t7\t8"])))
+            elif kind == "range":
+                lines.append(f"{j}-{j + 1}\tab\t_\t_\t_\t_\t_\t_\t_\t_")
+            elif kind == "empty":
+                lines.append(f"{j}.1\tghost\t_\tX\t_\t_\t_\t_\t_\t_")
+            tok_id = _odd(draw, str(j), ["x", f"0{j}", "\u0661", "\u00b2", f" {j}", str(j + 1), f"+{j}", "", "1-", "2."], weight=300)
+            head = _odd(draw, str(heads[j - 1]), ["_", "-1", "\u0660", " 0", "1_0", "", "9"], weight=300)
+            form = draw(st.sampled_from(["dog", "runs", "d g", "\u00fcber", "#x", "1", ""]))
+            upos = draw(st.sampled_from(["NOUN", "VERB", "X"]))
+            label = draw(st.sampled_from(["root", "dep", "nsubj"]))
+            cols = [tok_id, form, "_", upos, "_", "_", head, label, "_", "_", "_"]
+            cols = cols[:_odd(draw, 10, [7, 8, 9, 11], weight=40)]
+            sep = _odd(draw, "\t", [" ", "  "], weight=30)
+            prefix = _odd(draw, "", [" ", "\r", "\t"], weight=40)
+            suffix = _odd(draw, "", [" ", "\r", "\r\r", "\t"], weight=30)
+            lines.append(prefix + sep.join(cols) + suffix)
+        lines.extend(draw(st.lists(st.sampled_from(["", "", "  ", "\t", "\r"]), min_size=1, max_size=3)))
+    crlf = draw(st.booleans())
+    ends = ["\r\n" if crlf else _odd(draw, "\n", ["\r\n"]) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _fields(sentences):
+    return [[(t.form, t.upos, t.gold_head, t.gold_label) for t in s.tokens] for s in sentences]
 
 
 class TestParse:
@@ -100,6 +253,36 @@ class TestParse:
         with pytest.raises(ConlluError, match="line 4: HEAD 9 out of range"):
             parse_conllu(text)
 
+    @settings(max_examples=400, deadline=None)
+    @given(conllu_texts())
+    @example("1\tdog\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\r\n2\truns\t_\tVERB\t_\t_\t0\troot\t_\t_\r\n")
+    @example("1\ta\t_\tX\t_\t_\t2\tdep\t_\t_\n2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n")
+    @example("1\ta\t_\tX\t_\t_\t_\t_\t_\t_\n")  # unannotated: both readers reject HEAD "_"
+    def test_same_result_as_reference(self, text):
+        try:
+            want = reference_parse_conllu(text)
+        except ConlluError as err:
+            with pytest.raises(ConlluError) as got:
+                parse_conllu(text)
+            assert str(got.value) == str(err) and got.value.line == err.line
+            return
+        got = parse_conllu(text)
+        assert _fields(got) == _fields(want)
+        tokens = [t for s in got for t in s.tokens]
+        assert all(type(t.gold_head) is int for t in tokens)
+        for values in ([t.upos for t in tokens], [t.gold_label for t in tokens]):
+            first = {}
+            assert all(first.setdefault(v, v) is v for v in values)
+
+    def test_tokens_are_slotted_and_share_tag_strings(self):
+        text = "\n".join([TWO_TOKENS, TWO_TOKENS.replace("\n", "\r\n"), FRENCH_MWT])
+        tokens = [t for s in parse_conllu(text) for t in s.tokens]
+        assert not any(hasattr(t, "__dict__") for t in tokens)
+        nouns = [t.upos for t in tokens if t.upos == "NOUN"]
+        roots = [t.gold_label for t in tokens if t.gold_label == "root"]
+        assert len(nouns) == 3 and len(roots) == 3
+        assert all(u is nouns[0] for u in nouns) and all(r is roots[0] for r in roots)
+
 
 class TestCheckTree:
     def test_valid_chains_and_flat(self):
@@ -114,6 +297,15 @@ class TestCheckTree:
     def test_disconnected_detected(self):
         assert not check_tree([0, 0, 2]) or True  # multi-root is still a tree over 0
         assert not check_tree([2, 1, 0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(head_arrays())
+    @example([])
+    @example([1])
+    @example([0, 5])
+    @example([-1, 0])
+    def test_same_answer_as_reference(self, heads):
+        assert check_tree(heads) == reference_check_tree(heads)
 
 
 ROUND_TRIP_FIXTURES = [

@@ -8,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcforge import tensor as T
 from arcforge.tensor import Tensor, grad_check
@@ -42,6 +44,57 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
             T.matmul(tt(np.zeros((2, 3))), tt(np.zeros((2, 2))))
+
+
+def typed(arr, dtype, grad=True):
+    x = Tensor(np.zeros(1), requires_grad=grad)
+    x.data = np.asarray(arr, dtype=dtype)
+    return x
+
+
+class TestLinear:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.booleans(),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_matmul_then_add(self, m, k, n, bias, dtype, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=n)]
+        weight = typed(rng.normal(size=(m, n)), dtype, grad=False)
+
+        def run(fused):
+            x, w, b = (typed(a, dtype) for a in arrays)
+            b = b if bias else None
+            if fused:
+                y = T.linear(x, w, b)
+            else:
+                y = T.matmul(x, w) if b is None else T.add(T.matmul(x, w), b)
+            T.tsum(y * weight).backward()
+            return [y.data, x.grad, w.grad] + ([b.grad] if bias else [])
+
+        for got, want in zip(run(True), run(False), strict=True):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+    def test_one_node_per_call(self):
+        x, w, b = tt(np.ones((2, 3))), tt(np.ones((3, 4))), tt(np.ones(4))
+        y = T.linear(x, w, b)
+        assert y._prev == (x, w, b)
+        assert T.linear(x, w)._prev == (x, w)
+        with T.no_grad():
+            y = T.linear(x, w, b)
+        assert y._prev == () and y._backward is None
+
+    @pytest.mark.parametrize("operand", ["x", "w", "b"])
+    def test_gradcheck(self, operand):
+        rng = np.random.default_rng(19)
+        x, w, b = tt(rng.normal(size=(4, 3))), tt(rng.normal(size=(3, 5))), tt(rng.normal(size=5))
+        theta = {"x": x, "w": w, "b": b}[operand]
+        err = grad_check(lambda: T.tsum(T.linear(x, w, b) * T.linear(x, w, b)), theta, eps=1e-5)
+        assert err < 1e-6
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
+            T.linear(tt(np.zeros((2, 3))), tt(np.zeros((2, 2))))
 
 
 class TestBilinear:
