@@ -9,6 +9,7 @@ sentence.
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass, field
 from sys import intern
@@ -55,6 +56,22 @@ class Sentence:
 
 
 def parse_conllu(text: str) -> list[Sentence]:
+    """Sentences of a CoNLL-U text; raises ``ConlluError`` at the first bad line.
+
+    The cyclic garbage collector is paused while reading, since the reader
+    makes no reference cycles and its per-word allocations would otherwise
+    trigger repeated collections over a growing heap; the caller's
+    collector state is restored on return and on error."""
+    if not gc.isenabled():
+        return _parse_conllu(text)
+    gc.disable()
+    try:
+        return _parse_conllu(text)
+    finally:
+        gc.enable()
+
+
+def _parse_conllu(text: str) -> list[Sentence]:
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     token_lines: list[int] = []
@@ -75,7 +92,9 @@ def parse_conllu(text: str) -> list[Sentence]:
         sentences.append(Sentence(tokens))
         tokens, token_lines = [], []
 
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    # Dropping the CR of each CRLF line end lets those word lines take the
+    # fast path; the general path strips CRs anyway, and line numbers stay.
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         cols = line.split("\t")
         tok_id = cols[0]
         # An ordinary word line (at least 8 tab-separated columns, an all-digit

@@ -59,14 +59,11 @@ def is_projective(heads: list[int]) -> bool:
     return True
 
 
-def _stripe(chart: np.ndarray, row: int, col: int, w: int, down: bool) -> np.ndarray:
-    """The (n - w) x w view of an (n+1) x (n+1) chart whose row i holds the w
-    cells that start at chart[row + i, col + i] and run along that row, or
-    down that column if ``down``: the split candidates of every width-w span
-    at once (Zhang, Li & Zhang 2020)."""
-    rows, cols = chart.strides
-    return np.ndarray((chart.shape[0] - 1 - w, w), chart.dtype, chart, row * rows + col * cols,
-                      (rows + cols, rows if down else cols))
+def _strided(buf: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """The view of the flat array ``buf`` that starts ``offset`` items in
+    and steps ``strides`` items along each axis; numpy checks that it fits."""
+    size = buf.itemsize
+    return np.ndarray(shape, buf.dtype, buf, offset * size, tuple(size * st for st in strides))
 
 
 def eisner(scores: np.ndarray) -> list[int]:
@@ -83,64 +80,76 @@ def eisner(scores: np.ndarray) -> list[int]:
         return []
     if n == 1:
         return [0]
-    # complete/incomplete spans over [s, t], 1 <= s <= t <= n
-    c_left = np.zeros((n + 1, n + 1))    # headed at t
-    c_right = np.zeros((n + 1, n + 1))   # headed at s
-    i_left = np.zeros((n + 1, n + 1))    # arc t -> s
-    i_right = np.zeros((n + 1, n + 1))   # arc s -> t
-    bp_cl = np.zeros((n + 1, n + 1), dtype=int)
-    bp_cr = np.zeros((n + 1, n + 1), dtype=int)
-    bp_i = np.zeros((n + 1, n + 1), dtype=int)  # shared by both incomplete spans
+    # Every operand of a width w is a slice of one view built here: span
+    # [s, t] = [1 + i, 1 + i + w] is row i, and its split candidates run
+    # along the last axis (Zhang, Li & Zhang 2020). The charts sit at fixed
+    # distances in one buffer, so a pair of them is one view with a slot
+    # axis. Charts over [s, t], 1 <= s <= t <= n, in this order:
+    # c_left (complete, headed at t), i_right (arc s -> t), i_left (arc
+    # t -> s), c_right (complete, headed at s); the widest view of the
+    # complete spans' second operand reads up to n*n - 4 items past them.
+    N = n + 1
+    NN = N * N
+    chart = np.zeros(4 * NN + n * n)
+    c_left = chart[:NN].reshape(N, N)
+    c_right = chart[3 * NN:4 * NN].reshape(N, N)
+    # scores.T and scores: the incomplete spans' arc scores, i_left then i_right
+    arcs = np.empty((2, N, N))
+    arcs[0] = scores.T
+    arcs[1] = scores
+    # back-pointers: bp_cl, bp_cr, bp_i
+    bp = np.zeros((3, N, N), dtype=np.intp)
+    ar = np.arange(N)
+    diag = (1, N + 1)  # [w, i] -> cell [1 + i, 1 + i + w]
+    # incomplete: c_right[s, q] + c_left[q + 1, t] for split q = s + k in [s, t)
+    inc_a = _strided(chart, 3 * NN + N + 1, (n - 1, n - 1), (N + 1, 1))
+    inc_b = _strided(chart, 2 * N + 1, (n, n - 1, n - 1), (1, N + 1, N))
+    inc_arc = _strided(arcs, N + 1, (2, n, n - 1), (NN,) + diag)
+    inc_out = _strided(chart, 2 * NN + N + 1, (2, n, n - 1), (-NN,) + diag)  # i_left, i_right
+    inc_bp = _strided(bp, 2 * NN + N + 1, (n, n - 1), diag)
+    # complete, slot 0 headed at t: c_left[s, q] + i_left[q, t], q = s + k in [s, t);
+    # slot 1 headed at s: i_right[s, q] + c_right[q, t], q = s + 1 + k in (s, t]
+    com_a = _strided(chart, N + 1, (2, n - 1, n - 1), (NN + 1, N + 1, 1))
+    com_b = _strided(chart, 2 * NN + N + 1, (2, n, n - 1, n - 1), (NN + N, 1, N + 1, N))
+    com_out = _strided(chart, N + 1, (2, n, n - 1), (3 * NN,) + diag)  # c_left, c_right
+    com_bp = _strided(bp, N + 1, (2, n, n - 1), (NN,) + diag)
+    com_at = _strided(ar, 1, (2, n - 1), (1, 1))  # s and s + 1 for row i
 
     for w in range(1, n):
-        # every span [s, t] of width w; row s - 1 of each stripe holds its splits
-        s = np.arange(1, n - w + 1)
-        t = s + w
-        at = s - 1
-        # incomplete: c_right[s, q] + c_left[q + 1, t] for split q in [s, t)
-        combo = _stripe(c_right, 1, 1, w, down=False) + _stripe(c_left, 2, 1 + w, w, down=True)
+        m = n - w
+        combo = inc_a[:m, :w] + inc_b[w, :m, :w]
         q = combo.argmax(axis=1)
-        best = combo[at, q]
-        i_left[s, t] = scores[t, s] + best
-        i_right[s, t] = scores[s, t] + best
-        bp_i[s, t] = s + q
-        # complete headed at t: c_left[s, q] + i_left[q, t] for q in [s, t);
+        np.add(inc_arc[:, w, :m], combo.max(axis=1), out=inc_out[:, w, :m])
+        np.add(q, ar[1:m + 1], out=inc_bp[w, :m])
         # reads the incomplete spans of width w filled just above
-        combo = _stripe(c_left, 1, 1, w, down=False) + _stripe(i_left, 1, 1 + w, w, down=True)
-        q = combo.argmax(axis=1)
-        c_left[s, t] = combo[at, q]
-        bp_cl[s, t] = s + q
-        # complete headed at s: i_right[s, q] + c_right[q, t] for q in (s, t]
-        combo = _stripe(i_right, 1, 2, w, down=False) + _stripe(c_right, 2, 1 + w, w, down=True)
-        q = combo.argmax(axis=1)
-        c_right[s, t] = combo[at, q]
-        bp_cr[s, t] = s + 1 + q
+        combo = com_a[:, :m, :w] + com_b[:, w, :m, :w]
+        q = combo.argmax(axis=2)
+        combo.max(axis=2, out=com_out[:, w, :m])
+        np.add(q, com_at[:, :m], out=com_bp[:, w, :m])
 
-    best_c = 1 + int(np.argmax(scores[0, 1:] + c_left[1, 1:] + c_right[1:, n]))
+    best_c = 1 + int(np.argmax(arcs[1, 0, 1:] + c_left[1, 1:] + c_right[1:, n]))
 
+    bp_cl, bp_cr, bp_i = bp.tolist()
     heads = [0] * (n + 1)
     stack = [("cl", 1, best_c), ("cr", best_c, n)]
-    heads[best_c] = 0
     while stack:
         kind, s, t = stack.pop()
         if s == t:
             continue
         if kind == "cl":
-            q = bp_cl[s, t]
+            q = bp_cl[s][t]
             stack.append(("cl", s, q))
             stack.append(("il", q, t))
         elif kind == "cr":
-            q = bp_cr[s, t]
+            q = bp_cr[s][t]
             stack.append(("ir", s, q))
             stack.append(("cr", q, t))
-        elif kind == "il":
-            heads[s] = t
-            q = bp_i[s, t]
-            stack.append(("cr", s, q))
-            stack.append(("cl", q + 1, t))
-        else:  # ir
-            heads[t] = s
-            q = bp_i[s, t]
+        else:
+            if kind == "il":
+                heads[s] = t
+            else:
+                heads[t] = s
+            q = bp_i[s][t]
             stack.append(("cr", s, q))
             stack.append(("cl", q + 1, t))
     return heads[1:]

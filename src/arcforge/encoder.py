@@ -39,7 +39,25 @@ class EncoderConfig:
                 f"emb_dim {self.emb_dim} not divisible by {self.context_heads} heads")
 
 
+_SINUSOIDS: dict[int, np.ndarray] = {}  # dim -> read-only table, grown by doubling
+
+
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
+    """Read-only rows 0..length-1 of the sinusoidal position encoding.
+
+    Each value depends only on its position and column, so one table per
+    ``dim``, rebuilt twice as long when a longer sentence needs it, gives
+    the same rows at every length."""
+    table = _SINUSOIDS.get(dim)
+    if table is None or len(table) < length:
+        rows = length if table is None else max(length, 2 * len(table))
+        table = _sinusoids(rows, dim)
+        table.flags.writeable = False
+        _SINUSOIDS[dim] = table
+    return table[:length]
+
+
+def _sinusoids(length: int, dim: int) -> np.ndarray:
     pos = np.arange(length)[:, None].astype(float)
     i = np.arange(dim)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)

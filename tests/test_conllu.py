@@ -1,5 +1,6 @@
 """CoNLL-U parsing, writing, and vocabulary tests."""
 
+import gc
 import re
 
 import pytest
@@ -273,6 +274,26 @@ class TestParse:
         for values in ([t.upos for t in tokens], [t.gold_label for t in tokens]):
             first = {}
             assert all(first.setdefault(v, v) is v for v in values)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        # the reader pauses the cyclic collector; the caller's state comes back
+        was = gc.isenabled()
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            assert len(parse_conllu(TWO_TOKENS)) == 1
+            assert gc.isenabled() == enabled
+            with pytest.raises(ConlluError):
+                parse_conllu("1\ta\t_\tX\t_\t_\t1\tdep\t_\t_\n")
+            assert gc.isenabled() == enabled
+        finally:
+            if was:
+                gc.enable()
+            else:
+                gc.disable()
 
     def test_tokens_are_slotted_and_share_tag_strings(self):
         text = "\n".join([TWO_TOKENS, TWO_TOKENS.replace("\n", "\r\n"), FRENCH_MWT])

@@ -299,6 +299,23 @@ class TestEisner:
     def test_same_heads_as_reference(self, s):
         assert eisner(s) == reference_eisner(s)
 
+    @settings(max_examples=30, deadline=None)
+    @given(score_matrices(max_n=40, missing_arcs=True))
+    def test_any_dtype_and_layout_same_heads_as_reference(self, s):
+        # eisner copies its scores into float64; the reference reads them as given
+        every_other = np.full((2 * len(s) - 1,) * 2, 7.0)
+        every_other[::2, ::2] = s
+        for view in (s.astype(np.float32), np.asfortranarray(s), every_other[::2, ::2]):
+            assert eisner(view) == reference_eisner(view)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_long_sentence_same_heads_as_reference(self, ties):
+        # longer than the default max_train_len of 128
+        s = random_scores(150, np.random.default_rng(15 + ties))
+        if ties:
+            s = np.round(s * 2) / 2
+        assert eisner(s) == reference_eisner(s)
+
 
 class TestCle:
     def test_single_token(self):

@@ -100,6 +100,28 @@ class TestSinusoidal:
         assert np.allclose(enc[0, 0::2], 0.0)
         assert np.allclose(enc[0, 1::2], 1.0)
 
+    @staticmethod
+    def reference_encoding(length, dim):
+        # the table as it was built for every sentence before it was cached
+        pos = np.arange(length)[:, None].astype(float)
+        i = np.arange(dim)[None, :]
+        angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
+        enc = np.zeros((length, dim))
+        enc[:, 0::2] = np.sin(angle[:, 0::2])
+        enc[:, 1::2] = np.cos(angle[:, 1::2])
+        return enc
+
+    @pytest.mark.parametrize("dim", [2, 7, 12, 64])
+    def test_cached_rows_equal_reference_at_every_length(self, dim):
+        # shorter, then longer (regrown), then shorter again (sliced)
+        for length in (0, 1, 5, 3, 40, 200, 17, 1):
+            enc = sinusoidal_encoding(length, dim)
+            assert enc.shape == (length, dim)
+            assert enc.tobytes() == self.reference_encoding(length, dim).tobytes()
+            assert not enc.flags.writeable
+            with pytest.raises(ValueError):
+                enc[...] = 0.0
+
 
 class TestSpecialization:
     def test_zero_weights_give_zeros(self):
