@@ -2,8 +2,9 @@
 
 Score matrices are plain (n+1) x (n+1) float arrays with S[i][j] the
 score of the arc i -> j; the diagonal and column 0 are ignored (they
-may hold -inf). All decoders enforce the single-root constraint: token
-0 is the dummy root and heads exactly one word.
+may hold -inf or NaN), and a NaN arc score raises ValueError. All
+decoders enforce the single-root constraint: token 0 is the dummy root
+and heads exactly one word.
 """
 
 from __future__ import annotations
@@ -66,6 +67,17 @@ def _strided(buf: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.n
     return np.ndarray(shape, buf.dtype, buf, offset * size, tuple(size * st for st in strides))
 
 
+def _reject_nan(scores: np.ndarray) -> None:
+    """Raise ValueError at the first NaN arc score; the diagonal and
+    column 0 are ignored."""
+    nan = np.isnan(scores)
+    np.fill_diagonal(nan, False)
+    nan[:, 0] = False
+    if nan.any():
+        i, j = np.argwhere(nan)[0]
+        raise ValueError(f"NaN score for arc {i} -> {j}")
+
+
 def eisner(scores: np.ndarray) -> list[int]:
     """Maximum projective single-root tree in O(n^3) time, O(n^2) space.
 
@@ -75,6 +87,7 @@ def eisner(scores: np.ndarray) -> list[int]:
     single-root constraint exactly. Ties go to the first split and the
     first root child.
     """
+    _reject_nan(scores)
     n = scores.shape[0] - 1
     if n == 0:
         return []
@@ -158,10 +171,14 @@ def eisner(scores: np.ndarray) -> list[int]:
 def _masked(scores: np.ndarray) -> np.ndarray:
     """A float copy with the diagonal and column 0 at -inf, and any other
     -inf arc raised to a finite floor that no tree avoiding such arcs can
-    lose to, so that contraction never subtracts one infinity from another."""
+    lose to, so that contraction never subtracts one infinity from another.
+    Raises ValueError if an arc score is NaN."""
     s = np.array(scores, dtype=float)
     np.fill_diagonal(s, NEG_INF)
     s[:, 0] = NEG_INF
+    if np.isfinite(s).sum() == (len(s) - 1) ** 2:  # every arc score is finite
+        return s
+    _reject_nan(s)
     arc = ~np.eye(len(s), dtype=bool)
     arc[:, 0] = False
     missing = arc & np.isneginf(s)
@@ -172,51 +189,102 @@ def _masked(scores: np.ndarray) -> np.ndarray:
     return s
 
 
-def _find_cycle(best: list[int]) -> np.ndarray:
-    """Sorted nodes of a cycle of best, a map from each word to another word."""
-    path, pos = [1], {1: 0}
-    while (v := best[path[-1]]) not in pos:
-        pos[v] = len(path)
-        path.append(v)
-    return np.sort(path[pos[v]:])
-
-
 def cle(scores: np.ndarray) -> list[int]:
     """Maximum spanning arborescence with exactly one root child.
 
     Every word takes its best non-root head; those arcs close a cycle C,
-    which is contracted, level by level, until one word is left to take
-    the root. Exact: an optimal single-root tree with fewer than |C| - 1
-    arcs of C has a cycle word whose non-root tree arc its cycle arc can
-    replace at no loss. At most n - 1 levels of numpy calls, no recursion.
+    which is contracted into a new node, level by level, until one word is
+    left to take the root (Zmigrod, Vieira & Cotterell 2020). Exact: an
+    optimal single-root tree with fewer than |C| - 1 arcs of C has a cycle
+    word whose non-root tree arc its cycle arc can replace at no loss.
+
+    O(n^2) in all (Tarjan 1977): a contraction writes only the new node's
+    row and column and picks a best head for it alone. Every other node
+    keeps its best head, which a union-find maps to the node now holding
+    it. No score is written twice, so the expansion, which works from the
+    last contraction back, reads each level's scores as they were. No
+    numpy call inside the loop, and no recursion.
     """
-    s = _masked(scores)
-    levels = []
-    while len(s) > 2:
-        best = np.concatenate(([0], 1 + np.argmax(s[1:, 1:], axis=0)))
-        cyc = _find_cycle(best.tolist())
-        keep = np.ones(len(s), dtype=bool)
-        keep[cyc] = False
-        rest = np.flatnonzero(keep)  # rest[0] is the root
-        enter = s[rest[:, None], cyc] - s[best[cyc], cyc]
-        leave = s[cyc[:, None], rest]
-        k = len(rest)
-        t = np.full((k + 1, k + 1), NEG_INF)
-        t[:k, :k] = s[rest[:, None], rest]
-        t[:k, k] = enter.max(axis=1)
-        t[k, 1:k] = leave[:, 1:].max(axis=0)
-        levels.append((best, cyc, rest, enter.argmax(axis=1), leave.argmax(axis=0)))
-        s = t
-    heads = np.zeros(len(s), dtype=int)  # node 0's entry is a placeholder
-    for best, cyc, rest, enter_at, leave_from in reversed(levels):
-        k = len(rest)
-        up = best.copy()  # cycle words keep their cycle arcs ...
-        up[rest] = np.append(rest, -1)[heads[:k]]
-        from_cycle = heads[:k] == k  # words hung from the contracted node
-        up[rest[from_cycle]] = cyc[leave_from[from_cycle]]
-        up[cyc[enter_at[heads[k]]]] = rest[heads[k]]  # ... but one, replaced by the entering arc
-        heads = up
-    return heads[1:].tolist()
+    m = _masked(scores)
+    n = len(m) - 1
+    if n < 2:
+        return [0] * n
+    # Node ids: the root, the words, then the contracted nodes in the order
+    # they are made, so the newer of two nodes has the larger id. s[i][j] is
+    # the score of arc i -> j while both are alive; a node's row and column
+    # stop growing once it is contracted.
+    s = m.tolist()
+    best = [0, *(1 + np.argmax(m[1:, 1:], axis=0)).tolist()]
+    up = list(range(n + 1))  # union-find: up[v] == v while v is alive
+    # per contracted node: its members, their heads and their cycle arc scores
+    cycles = [None] * (n + 1)
+    # per contracted node: the member its arc to each older node leaves from
+    wins = [None] * (n + 1)
+    live = list(range(n + 1))  # the root first
+    rows = s[:]  # the rows of the live nodes
+    path = [1]  # a walk along best heads; what leads into a cycle leads into its new node
+    while len(live) > 2:
+        v = best[path[-1]]
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        if v not in path:
+            path.append(v)
+            continue
+        i = path.index(v)
+        cyc = path[i:]  # each member's head is the next one
+        del path[i:]
+        c = len(s)
+        for x in cyc:
+            up[x] = c
+            i = live.index(x)
+            del live[i], rows[i]
+        up.append(c)
+        ring = cyc[1:] + cyc[:1]
+        d = [s[g][x] for x, g in zip(cyc, ring)]
+        # A cycle has two members or more. Arcs into C, each relative to
+        # the cycle arc it would replace:
+        (x, y), (dx, dy) = cyc[:2], d[:2]
+        col = [a if (a := r[x] - dx) >= (b := r[y] - dy) else b for r in rows]
+        for z, dz in zip(cyc[2:], d[2:]):
+            col = [a if a >= (b := r[z] - dz) else b for a, r in zip(col, rows)]
+        # arcs out of C, and the member each leaves from:
+        win = [x if a >= b else y for a, b in zip(s[x], s[y])]
+        row = [a if a >= b else b for a, b in zip(s[x], s[y])]
+        for z in cyc[2:]:
+            win = [w if a >= b else z for w, a, b in zip(win, row, s[z])]
+            row = [a if a >= b else b for a, b in zip(row, s[z])]
+        row.append(NEG_INF)
+        for r, a in zip(rows, col):
+            r.append(a)
+        s.append(row)
+        wins.append(win)
+        cycles.append((cyc, ring, d))
+        # the new node's best word head, past the root's row; none if no word is left
+        best.append(live[col.index(max(col[1:]), 1)] if len(col) > 1 else 0)
+        live.append(c)
+        rows.append(row)
+        path.append(c)
+
+    # Expand. Of an arc's two ends, the newer one, while it is a contracted
+    # node, gives way to the member the arc leaves or enters; entering a
+    # cycle brings in the cycle arcs of its other members.
+    heads = [0] * (n + 1)
+    todo = [(0, live[1])]
+    while todo:
+        h, v = todo.pop()
+        while True:
+            while h > v and h > n:
+                h = wins[h][v]
+            if v <= n:
+                break
+            cyc, ring, d = cycles[v]
+            r = s[h]
+            gain = [r[x] - dx for x, dx in zip(cyc, d)]
+            v = cyc[gain.index(max(gain))]
+            todo.extend((g, x) for x, g in zip(cyc, ring) if x != v)
+        heads[v] = h
+    return heads[1:]
 
 
 @lru_cache(maxsize=32)

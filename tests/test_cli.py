@@ -219,6 +219,21 @@ class TestTrainParseEvalPipeline:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad_path}: bad model config: ") and message in err
 
+    @pytest.mark.parametrize("decoder", ["mst", "eisner"])
+    def test_nan_score_weight_fails_parse(self, trained_toy, tmp_path, capsys, decoder):
+        model_path, _, dev_path, _ = trained_toy
+        with np.load(model_path) as z:
+            arrays = {key: z[key] for key in z.files}
+        (key,) = [k for k in arrays if k.startswith("param:scorer.score_out.")
+                  and arrays[k].ndim == 2]
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[0] = np.nan
+        bad_path = str(tmp_path / "nan.npz")
+        np.savez(bad_path, **arrays)
+        assert main(["parse", "--model", bad_path, "--input", dev_path, "--decoder", decoder,
+                     "--output", str(tmp_path / "x.conllu")]) == 1
+        assert capsys.readouterr().err.startswith("error: NaN score for arc ")
+
     def test_seed_flag_overrides_config(self, toy_files, tmp_path, capsys):
         train_path, dev_path, _ = toy_files
         model_path = str(tmp_path / "m.npz")

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcforge.decoders import (
+    _masked,
     brute_force_best_tree,
     cle,
     eisner,
@@ -141,6 +142,46 @@ def reference_cle(scores):
     return best_heads[1:].tolist()
 
 
+# The level-by-level contraction that cle's O(n^2) one replaced, kept as a
+# reference: each level re-picks every word's best head and rebuilds the
+# contracted matrix. Both are exact, so on scores whose best tree is
+# unique the heads must be identical, not just equal in score.
+
+
+def reference_cle_levels(scores):
+    s = _masked(scores)
+    levels = []
+    while len(s) > 2:
+        best = np.concatenate(([0], 1 + np.argmax(s[1:, 1:], axis=0)))
+        path, pos = [1], {1: 0}
+        while (v := int(best[path[-1]])) not in pos:
+            pos[v] = len(path)
+            path.append(v)
+        cyc = np.sort(path[pos[v]:])
+        keep = np.ones(len(s), dtype=bool)
+        keep[cyc] = False
+        rest = np.flatnonzero(keep)  # rest[0] is the root
+        enter = s[rest[:, None], cyc] - s[best[cyc], cyc]
+        leave = s[cyc[:, None], rest]
+        k = len(rest)
+        t = np.full((k + 1, k + 1), -np.inf)
+        t[:k, :k] = s[rest[:, None], rest]
+        t[:k, k] = enter.max(axis=1)
+        t[k, 1:k] = leave[:, 1:].max(axis=0)
+        levels.append((best, cyc, rest, enter.argmax(axis=1), leave.argmax(axis=0)))
+        s = t
+    heads = np.zeros(len(s), dtype=int)  # node 0's entry is a placeholder
+    for best, cyc, rest, enter_at, leave_from in reversed(levels):
+        k = len(rest)
+        up = best.copy()  # cycle words keep their cycle arcs ...
+        up[rest] = np.append(rest, -1)[heads[:k]]
+        from_cycle = heads[:k] == k  # words hung from the contracted node
+        up[rest[from_cycle]] = cyc[leave_from[from_cycle]]
+        up[cyc[enter_at[heads[k]]]] = rest[heads[k]]  # ... but one, replaced by the entering arc
+        heads = up
+    return heads[1:].tolist()
+
+
 # The cell-by-cell chart loop that eisner's width-at-a-time fill replaced,
 # kept as a reference: the same additions and first-max tie-breaking, so
 # the heads must be identical, not just equal in score.
@@ -245,6 +286,28 @@ def score_matrices(draw, max_n=60, missing_arcs=False):
     return s
 
 
+@st.composite
+def tie_free_matrices(draw, max_n=80):
+    """Uniform or root-heavy scores; some also get arcs at -inf that spare
+    the chain 0 -> 1 -> ... -> n, so that the best tree avoids them. The
+    best tree is unique (with probability one)."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = root_heavy_scores(n, rng) if draw(st.booleans()) else random_scores(n, rng)
+    if draw(st.booleans()):
+        chain = s[np.arange(n), np.arange(1, n + 1)]
+        s[rng.random(s.shape) < draw(st.floats(0.0, 0.5))] = -np.inf
+        s[np.arange(n), np.arange(1, n + 1)] = chain
+    return s
+
+
+def layouts(s):
+    """float32, Fortran-order and strided copies of s."""
+    every_other = np.full((2 * len(s) - 1,) * 2, 7.0)
+    every_other[::2, ::2] = s
+    return s.astype(np.float32), np.asfortranarray(s), every_other[::2, ::2]
+
+
 class TestEisner:
     def test_single_token(self):
         s = np.zeros((2, 2))
@@ -303,9 +366,7 @@ class TestEisner:
     @given(score_matrices(max_n=40, missing_arcs=True))
     def test_any_dtype_and_layout_same_heads_as_reference(self, s):
         # eisner copies its scores into float64; the reference reads them as given
-        every_other = np.full((2 * len(s) - 1,) * 2, 7.0)
-        every_other[::2, ::2] = s
-        for view in (s.astype(np.float32), np.asfortranarray(s), every_other[::2, ::2]):
+        for view in layouts(s):
             assert eisner(view) == reference_eisner(view)
 
     @pytest.mark.parametrize("ties", [False, True])
@@ -381,6 +442,22 @@ class TestCle:
         assert is_single_root_tree(heads)
         assert tree_score(s, heads) == pytest.approx(tree_score(s, reference_cle(s)), abs=1e-9)
 
+    @settings(max_examples=80, deadline=None)
+    @given(tie_free_matrices())
+    def test_tie_free_same_heads_as_level_reference(self, s):
+        for view in (s, *layouts(s)):
+            assert cle(view) == reference_cle_levels(view)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 80), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 4.0]))
+    @example(7, 0, 1e9)  # every arc tied
+    def test_tied_same_score_as_level_reference(self, n, seed, step):
+        s = np.round(random_scores(n, np.random.default_rng(seed)) / step) * step
+        heads = cle(s)
+        want = tree_score(s, reference_cle_levels(s))
+        assert is_single_root_tree(heads)
+        assert tree_score(s, heads) == pytest.approx(want, abs=1e-9)
+
     @pytest.mark.parametrize("n", [2, 5, 12, 25, 40])
     def test_agrees_with_eisner_on_projective_optimum(self, n):
         rng = np.random.default_rng(400 + n)
@@ -434,6 +511,29 @@ class TestCle:
         heads = cle(s)
         assert heads == [2, 0]
         assert tree_score(s, heads) == pytest.approx(150.0)
+
+
+class TestNaN:
+    @pytest.mark.parametrize("decoder", [cle, eisner])
+    @pytest.mark.parametrize("arc", [(2, 4), (4, 2), (0, 3)])
+    def test_nan_arc_rejected(self, decoder, arc):
+        s = random_scores(5, np.random.default_rng(14))
+        s[arc] = np.nan
+        with pytest.raises(ValueError, match=f"NaN score for arc {arc[0]} -> {arc[1]}"):
+            decoder(s)
+
+    @pytest.mark.parametrize("decoder", [cle, eisner])
+    def test_single_word_nan_arc_rejected(self, decoder):
+        with pytest.raises(ValueError, match="NaN"):
+            decoder(np.array([[0.0, np.nan], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("decoder", [cle, eisner])
+    def test_nan_on_diagonal_and_root_column_ignored(self, decoder):
+        s = random_scores(5, np.random.default_rng(14))
+        noisy = s.copy()
+        np.fill_diagonal(noisy, np.nan)
+        noisy[:, 0] = np.nan
+        assert decoder(noisy) == decoder(s)
 
 
 class TestBruteForce:

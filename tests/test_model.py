@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arcforge.conllu import Sentence
+from arcforge.conllu import Sentence, Token
 from arcforge.decoders import cle, is_projective, is_single_root_tree, tree_score
 from arcforge.model import (
     ArcLocModel,
@@ -12,7 +12,7 @@ from arcforge.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from arcforge.training import sentence_loss
+from arcforge.training import TrainConfig, sentence_loss
 
 
 def arc_cfg(vocab, **kw):
@@ -108,6 +108,21 @@ class TestPredict:
         s = fwd.scores.data
         expected = sum(s[h, j] for j, h in enumerate(res.heads, start=1))
         assert res.score == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("decoder", ["mst", "eisner"])
+    def test_sentence_longer_than_max_train_len(self, toy_corpus, toy_vocab, decoder):
+        n = TrainConfig().max_train_len + 22
+        words = [tok for sent in toy_corpus[0] + toy_corpus[1] for tok in sent.tokens][:n]
+        assert len(words) == n
+        sent = Sentence([Token(t.form, t.upos, gold_head=0, gold_label=t.gold_label)
+                         for t in words])
+        model = build_model(arc_cfg(toy_vocab, layers=2, k=3), toy_vocab, seed=6)
+        model.eval()
+        res = model.predict(sent, toy_vocab, decoder=decoder)
+        assert is_single_root_tree(res.heads) and len(res.heads) == n
+        assert len(res.labels) == n and set(res.labels) <= set(toy_vocab.label_to_id)
+        if decoder == "eisner":
+            assert is_projective(res.heads)
 
 
 class TestPaddingInvariance:
