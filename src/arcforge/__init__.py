@@ -6,7 +6,7 @@ vectors feed score, label, and filter heads, optionally refined by
 transformer layers over a differentiable top-k arc filter.
 """
 
-from .tensor import Tensor, grad_check, set_default_dtype
+from .tensor import Tensor, grad_check
 from .conllu import Sentence, Token, Vocab, build_vocab, parse_conllu, write_conllu
 from .decoders import brute_force_best_tree, cle, eisner, tree_score
 from .encoder import Encoder, EncoderConfig
@@ -39,7 +39,6 @@ from .config import RunConfig, load_run_config
 __all__ = [
     "Tensor",
     "grad_check",
-    "set_default_dtype",
     "Sentence",
     "Token",
     "Vocab",

@@ -16,7 +16,6 @@ from .config import RunConfig, load_run_config
 from .conllu import Sentence, Token, Vocab, build_vocab, parse_conllu, write_conllu
 from .evaluation import PUNCT_POLICIES, uas_las
 from .model import DECODERS, build_model, load_checkpoint, save_checkpoint
-from .tensor import set_default_dtype
 from .training import end_to_end_grad_check, formula_param_count, train
 
 
@@ -30,21 +29,17 @@ def cmd_train(args) -> int:
     if not cfg.train_file:
         print("error: config needs train_file", file=sys.stderr)
         return 1
-    previous_dtype = set_default_dtype(cfg.dtype)
-    try:
-        train_sents = _read_conllu_file(cfg.train_file)
-        dev_sents = _read_conllu_file(cfg.dev_file) if cfg.dev_file else []
-        vocab = build_vocab(train_sents, min_count=cfg.min_count)
-        model = build_model(cfg.model_config(vocab.n_labels), vocab, seed=cfg.seed)
-        metrics_path = cfg.metrics_out or cfg.model_out + ".metrics.jsonl"
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            result = train(model, train_sents, dev_sents, vocab, cfg.train_config(),
-                           log_fn=lambda row: fh.write(json.dumps(row) + "\n"))
-        model.load_state(result.best_state)
-        save_checkpoint(cfg.model_out, model, vocab,
-                        extra={"best_epoch": result.best_epoch, "best_las": result.best_las})
-    finally:
-        set_default_dtype(previous_dtype)
+    train_sents = _read_conllu_file(cfg.train_file)
+    dev_sents = _read_conllu_file(cfg.dev_file) if cfg.dev_file else []
+    vocab = build_vocab(train_sents, min_count=cfg.min_count)
+    model = build_model(cfg.model_config(vocab.n_labels), vocab, seed=cfg.seed)
+    metrics_path = cfg.metrics_out or cfg.model_out + ".metrics.jsonl"
+    with open(metrics_path, "w", encoding="utf-8") as fh:
+        result = train(model, train_sents, dev_sents, vocab, cfg.train_config(),
+                       log_fn=lambda row: fh.write(json.dumps(row) + "\n"))
+    model.load_state(result.best_state)
+    save_checkpoint(cfg.model_out, model, vocab,
+                    extra={"best_epoch": result.best_epoch, "best_las": result.best_las})
     dev = "no dev set" if result.best_las is None else f"dev LAS {result.best_las:.2f}"
     print(f"saved {cfg.model_out} (best epoch {result.best_epoch}, {dev}); metrics in {metrics_path}")
     return 0

@@ -2,7 +2,8 @@
 
 Every ModelConfig and TrainConfig field is a key, with that class's
 default; RunConfig declares only the keys that belong to a run.
-Unknown keys are rejected; command-line flags override file values.
+Unknown keys and values of the wrong JSON type are rejected;
+command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, make_dataclass
 
-from .model import ModelConfig
+from .model import DTYPES, ModelConfig
 from .training import TrainConfig
 
 # ModelConfig fields that a run sets itself: kind comes from model_kind,
@@ -24,7 +25,6 @@ class _RunKeys:
     model_kind: str = "arcloc"
     emb_dim: int = 64  # ModelConfig has no default width
     min_count: int = 1
-    dtype: str = "float64"  # float32 trades exactness for training speed
     # paths and fixtures
     train_file: str | None = None
     dev_file: str | None = None
@@ -33,7 +33,7 @@ class _RunKeys:
     n_labels: int | None = None
 
     def __post_init__(self):
-        if self.dtype not in ("float64", "float32"):
+        if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
         self.train_config()  # rejects bad training keys before any work starts
 
@@ -56,18 +56,31 @@ RunConfig = make_dataclass(
     namespace={"__module__": __name__},
 )
 
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}  # annotations such as "int | None"
+# the JSON values each annotated type takes: an int is a float, but a bool is no number
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "None": type(None)}
+
+
+def _accepts(annotation: str, value) -> bool:
+    names = annotation.split(" | ")
+    if isinstance(value, bool):
+        return "bool" in names
+    return any(isinstance(value, _JSON_TYPES[name]) for name in names)
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
-    """Read a flat JSON config; reject unknown keys; apply overrides."""
+    """Read a flat JSON config; reject unknown keys and values of the
+    wrong JSON type; apply overrides."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(data) - _KNOWN_KEYS)
+    unknown = sorted(set(data) - set(_FIELD_TYPES))
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
+    for key, value in data.items():
+        if not _accepts(_FIELD_TYPES[key], value):
+            raise ValueError(f"{path}: {key} must be {_FIELD_TYPES[key]}, got {json.dumps(value)}")
     return RunConfig(**data)

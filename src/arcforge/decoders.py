@@ -18,9 +18,9 @@ NEG_INF = float("-inf")
 
 
 def tree_score(scores: np.ndarray, heads: list[int]) -> float:
-    """Sum of arc scores of the tree given as a 1-indexed head array."""
-    n = len(heads)
-    return float(sum(scores[heads[j - 1], j] for j in range(1, n + 1)))
+    """Sum of arc scores of the tree given as a 1-indexed head array,
+    added in float64 whatever the scores' dtype."""
+    return float(sum(scores[heads, np.arange(1, len(heads) + 1)].tolist()))
 
 
 def check_tree(heads: list[int]) -> bool:

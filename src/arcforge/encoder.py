@@ -91,7 +91,7 @@ class Encoder(Module):
             e = e + embedding_gather(self.upos_emb, upos_ids)
         e = dropout(e, self.cfg.emb_dropout, self.training, self.rng)
         if len(self.context):
-            e = e + Tensor(sinusoidal_encoding(len(form_ids), self.cfg.emb_dim))
+            e = e + sinusoidal_encoding(len(form_ids), self.cfg.emb_dim)
             for layer in self.context:
                 e = layer(e)
         return e

@@ -27,6 +27,7 @@ CHECKPOINT_FORMAT = "arcforge-checkpoint"
 CHECKPOINT_VERSION = 1
 
 DECODERS = ("eisner", "mst")  # projective Eisner, or Chu-Liu-Edmonds
+DTYPES = ("float64", "float32")  # float32 trades exactness for speed
 
 
 @dataclass
@@ -50,8 +51,11 @@ class ModelConfig:
     gumbel_scale: float = 1.0
     train_noise: bool = True
     filter_aux_weight: float = 0.0  # optional direct supervision of the filter
+    dtype: str = "float64"  # of the parameters, and so of every activation
 
     def __post_init__(self):
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
         if self.kind not in ("loc", "arcloc"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.n_labels < 1:
@@ -225,7 +229,10 @@ class ArcLocModel(_ParserBase):
 
 def build_model(cfg: ModelConfig, vocab: Vocab, seed: int = 0) -> _ParserBase:
     cls = LocModel if cfg.kind == "loc" else ArcLocModel
-    return cls(cfg, vocab.n_forms, vocab.n_upos, seed=seed)
+    model = cls(cfg, vocab.n_forms, vocab.n_upos, seed=seed)
+    for p in model.parameters():
+        p.data = p.data.astype(cfg.dtype, copy=False)
+    return model
 
 
 def save_checkpoint(path, model: _ParserBase, vocab: Vocab, extra: dict | None = None) -> None:
@@ -245,14 +252,20 @@ def save_checkpoint(path, model: _ParserBase, vocab: Vocab, extra: dict | None =
 
 
 def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
-    with np.load(path) as z:
-        meta = json.loads(bytes(z["__meta__"]).decode())
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not an arcforge checkpoint")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        state = {key[len("param:"):]: z[key] for key in z.files if key.startswith("param:")}
+    with open(path, "rb") as fh:  # a file that cannot be opened stays an OSError
+        try:
+            with np.load(fh) as z:
+                meta = json.loads(bytes(z["__meta__"]).decode())
+                if meta["format"] != CHECKPOINT_FORMAT:
+                    raise ValueError(f"format {meta['format']!r}")
+                state = {key[len("param:"):]: z[key] for key in z.files if key.startswith("param:")}
+        except Exception as exc:
+            raise ValueError(f"{path}: not an arcforge checkpoint") from exc
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
     stored = meta["model"]
+    # a checkpoint that predates the dtype key holds its parameters in it
+    stored.setdefault("dtype", next((a.dtype.name for a in state.values()), "float64"))
     problems = [f"unknown key {k!r}" for k in sorted(set(stored) - {f.name for f in fields(ModelConfig)})]
     problems += [f"missing key {f.name!r}" for f in fields(ModelConfig)
                  if f.default is MISSING and f.name not in stored]

@@ -174,7 +174,7 @@ def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
         if rng is None:
             raise ValueError("train-mode filter noise needs an rng")
         offset[candidate] = rng.gumbel(size=n * n) * gumbel_scale
-    lg = by_mod + Tensor(offset)
+    lg = by_mod + offset
     probs = softmax(lg, axis=-1)
     kept_count = min(k, n)
     kept = argsort_descending(lg.data)[:, :kept_count]  # -inf sorts last, so never kept

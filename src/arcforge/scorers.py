@@ -32,11 +32,11 @@ def apply_arc_mask(s: Tensor, n: int, neg: float = MASK_VALUE) -> Tensor:
     keep = np.ones((n + 1, n + 1))
     np.fill_diagonal(keep, 0.0)
     keep[:, 0] = 0.0
-    return s * Tensor(keep) + Tensor((1.0 - keep) * neg)
+    return s * keep + (1.0 - keep) * neg
 
 
 def _ones_column(x: Tensor) -> Tensor:
-    return concat([x, Tensor(np.ones((x.data.shape[0], 1)))], axis=1)
+    return concat([x, Tensor(np.ones((x.data.shape[0], 1), dtype=x.data.dtype))], axis=1)
 
 
 class LocScorer(Module):

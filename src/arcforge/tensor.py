@@ -11,6 +11,9 @@ is recorded, which is how prediction runs. The engine is deliberately
 small: just the operations the parsing models need, each one
 gradient-checked.
 
+An op's output, and any constant it lifts, takes its operands' dtype,
+float32 or float64.
+
 Tensors are immutable after creation except for gradient accumulation
 (and optimizer updates to leaf parameters between graphs).
 """
@@ -23,22 +26,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-_DEFAULT_DTYPE = np.float64
-
-def set_default_dtype(dtype):
-    """Set the dtype used for new leaf tensors; return the previous one.
-
-    64-bit is required for tests and gradient checks; 32-bit is an
-    opt-in for training speed.
-    """
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype: {dtype!r}")
-    previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt.type
-    return previous
-
 
 class _GradMode(threading.local):
     enabled = True  # per thread: a library caller's threads enter no_grad() independently
@@ -92,7 +79,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -165,10 +153,10 @@ class Tensor:
         return add(other, self)
 
     def __sub__(self, other):
-        return add(self, neg(_lift(other)))
+        return add(self, neg(_lift(other, self)))
 
     def __rsub__(self, other):
-        return add(_lift(other), neg(self))
+        return add(_lift(other, self), neg(self))
 
     def __neg__(self):
         return neg(self)
@@ -192,15 +180,16 @@ class Tensor:
         return relu(self)
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
+def _lift(x, like: Tensor) -> Tensor:
+    """``x`` as a tensor; a constant takes the dtype of ``like``, the other operand."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 # -- elementwise ------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _lift(a, b), _lift(b, a)
 
     def _bw(g):
         if a.requires_grad:
@@ -220,7 +209,7 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _lift(a, b), _lift(b, a)
 
     def _bw(g):
         if a.requires_grad:
@@ -266,7 +255,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w (+ b)`` as one node, so the product before the bias is not
     kept until backward. Values and gradients are bitwise those of
     ``add(matmul(x, w), b)``."""
-    x, w = _lift(x), _lift(w)
+    x, w = _lift(x, w), _lift(w, x)
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {x.data.shape} @ {w.data.shape}")
     if x.data.shape[1] != w.data.shape[0]:
@@ -433,7 +422,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_lift(t) for t in tensors]
+    tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of zero tensors")
     sizes = [t.data.shape[axis] for t in tensors]
@@ -642,8 +631,8 @@ def grad_check(f: Callable[[], Tensor], theta: Tensor, eps: float = 1e-5,
     and their flat indices appended to ``kinks`` if it is given.
     ``f`` must rebuild its graph from ``theta.data`` on every call.
     """
-    if _DEFAULT_DTYPE is not np.float64:
-        raise RuntimeError("grad_check requires 64-bit mode")
+    if theta.data.dtype != np.float64:
+        raise ValueError(f"grad_check requires 64-bit parameters, got {theta.data.dtype}")
     if not 1e-7 <= eps <= 1e-4:
         raise ValueError(f"eps out of range: {eps}")
     theta.grad = None

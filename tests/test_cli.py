@@ -13,8 +13,7 @@ from arcforge import tensor as T
 from arcforge.cli import main
 from arcforge.config import RunConfig
 from arcforge.conllu import parse_conllu, write_conllu
-from arcforge.model import load_checkpoint
-from arcforge.tensor import set_default_dtype
+from arcforge.model import build_model, load_checkpoint
 from toygrammar import make_corpus
 
 GOLD = """1\tdogs\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_
@@ -133,6 +132,11 @@ class TestGradcheckCommand:
             assert main(["gradcheck", "--config", cfg, "--seed", str(seed)]) == 1
             assert float(capsys.readouterr().out.split(":")[1]) > 1e-3
 
+    def test_float32_config_is_one_error_line(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", json.dumps({**self.KINK, "dtype": "float32"}))
+        assert main(["gradcheck", "--config", cfg, "--seed", "3"]) == 1
+        assert capsys.readouterr().err == "error: grad_check requires 64-bit parameters, got float32\n"
+
     def test_loc_model_passes(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json", json.dumps({
             "model_kind": "loc", "emb_dim": 16, "context_layers": 1,
@@ -219,6 +223,17 @@ class TestTrainParseEvalPipeline:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad_path}: bad model config: ") and message in err
 
+    @pytest.mark.parametrize("foreign", ["truncated", "conllu"])
+    def test_file_that_is_no_checkpoint_fails_parse(self, trained_toy, tmp_path, capsys, foreign):
+        model_path, _, dev_path, _ = trained_toy
+        bad_path = dev_path
+        if foreign == "truncated":
+            bad_path = str(tmp_path / "cut.npz")
+            Path(bad_path).write_bytes(Path(model_path).read_bytes()[:3000])
+        assert main(["parse", "--model", bad_path, "--input", dev_path,
+                     "--output", str(tmp_path / "x.conllu")]) == 1
+        assert capsys.readouterr().err == f"error: {bad_path}: not an arcforge checkpoint\n"
+
     @pytest.mark.parametrize("decoder", ["mst", "eisner"])
     def test_nan_score_weight_fails_parse(self, trained_toy, tmp_path, capsys, decoder):
         model_path, _, dev_path, _ = trained_toy
@@ -267,11 +282,39 @@ class TestTrainCommand:
             "d": 8, "r": 8, "layers": 1, "k": 2,
             "mlp_dropout": 0.0, "emb_dropout": 0.0,
         }))
-        try:
-            assert main(["train", "--config", train_cfg]) == 0
-            assert main(["gradcheck", "--config", check_cfg, "--seed", "3"]) == 0
-        finally:
-            set_default_dtype(np.float64)
+        assert main(["train", "--config", train_cfg]) == 0
+        assert main(["gradcheck", "--config", check_cfg, "--seed", "3"]) == 0
+
+    @pytest.mark.parametrize("decoder", ["mst", "eisner"])
+    def test_float32_checkpoint_parses_in_float32(self, toy_files, tmp_path, monkeypatch, decoder):
+        train_path, dev_path, _ = toy_files
+        model_path = str(tmp_path / "m.npz")
+        cfg = write(tmp_path / "cfg.json", json.dumps({
+            **self.SMALL, "context_layers": 1, "layers": 1, "k": 2, "dtype": "float32",
+            "train_file": train_path, "model_out": model_path,
+        }))
+        assert main(["train", "--config", cfg]) == 0
+        dtypes = []
+        from_op, init = T.Tensor._from_op, T.Tensor.__init__
+
+        def recording_from_op(cls, data, prev, backward):
+            dtypes.append(data.dtype)
+            return from_op(data, prev, backward)
+
+        def recording_init(self, data, requires_grad=False):
+            init(self, data, requires_grad)
+            if not requires_grad:  # a constant; parameters are built in float64, then cast
+                dtypes.append(self.data.dtype)
+
+        monkeypatch.setattr(T.Tensor, "_from_op", classmethod(recording_from_op))
+        monkeypatch.setattr(T.Tensor, "__init__", recording_init)
+        assert main(["parse", "--model", model_path, "--input", dev_path, "--decoder", decoder,
+                     "--output", str(tmp_path / "pred.conllu")]) == 0
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        monkeypatch.undo()
+        _, vocab, _ = load_checkpoint(model_path)
+        model = build_model(RunConfig(**self.SMALL).model_config(vocab.n_labels), vocab)
+        assert {p.data.dtype.name for p in model.parameters()} == {"float64"}
 
     def test_no_dev_set_reported_and_stored_as_null(self, toy_files, tmp_path, capsys):
         train_path, _, _ = toy_files

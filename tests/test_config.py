@@ -47,6 +47,20 @@ class TestLoad:
         with pytest.raises(ValueError, match="dtype"):
             RunConfig(dtype="float16")
 
+    @pytest.mark.parametrize("key, value", [("epochs", "1"), ("layers", 1.5), ("epochs", True)],
+                             ids=["str-for-int", "float-for-int", "bool-for-int"])
+    def test_wrong_json_type_names_the_key(self, tmp_path, key, value):
+        p = write_cfg(tmp_path, {"model_kind": "arcloc", "d": 8, "r": 8, key: value})
+        with pytest.raises(ValueError, match=f"{key} must be int, got {json.dumps(value)}"):
+            load_run_config(p)
+
+    def test_int_for_float_and_null_where_allowed(self, tmp_path):
+        cfg = load_run_config(write_cfg(tmp_path, {
+            "model_kind": "arcloc", "d": 8, "r": 8, "lr": 1, "grad_clip": None, "use_swa": False}))
+        assert cfg.lr == 1 and cfg.grad_clip is None and cfg.use_swa is False
+        with pytest.raises(ValueError, match="epochs must be int, got null"):
+            load_run_config(write_cfg(tmp_path, {"epochs": None}))
+
 
 class TestMapping:
     def test_model_config_mapping(self):
@@ -57,6 +71,11 @@ class TestMapping:
         assert mc.exact_counts is True
         assert mc.gumbel_scale == 0.5
         assert mc.n_labels == 3
+
+    def test_dtype_is_a_model_key(self):
+        run = RunConfig(model_kind="arcloc", d=8, r=8, dtype="float32")
+        assert run.model_config(n_labels=3).dtype == "float32"
+        assert RunConfig(model_kind="arcloc", d=8, r=8).model_config(n_labels=3).dtype == "float64"
 
     def test_train_config_mapping(self):
         run = RunConfig(model_kind="arcloc", d=8, r=8, epochs=7, lr=1e-3,
@@ -87,64 +106,50 @@ class TestMapping:
 
 class TestFloat32Mode:
     def test_float32_training_runs(self, tmp_path, toy_corpus, toy_vocab):
-        from arcforge import tensor as T
         from arcforge.model import ModelConfig, build_model
         from arcforge.training import TrainConfig, train
 
-        T.set_default_dtype(np.float32)
-        try:
-            cfg = ModelConfig(kind="arcloc", n_labels=toy_vocab.n_labels, emb_dim=16,
-                              context_layers=0, d=8, r=8, mlp_dropout=0.0)
-            model = build_model(cfg, toy_vocab, seed=0)
-            assert model.parameters()[0].data.dtype == np.float32
-            res = train(model, toy_corpus[0], [], toy_vocab,
-                        TrainConfig(epochs=1, lr=1e-3, use_swa=False, seed=0))
-            assert np.isfinite(res.metrics[0]["train_loss"])
-        finally:
-            T.set_default_dtype(np.float64)
+        cfg = ModelConfig(kind="arcloc", n_labels=toy_vocab.n_labels, emb_dim=16,
+                          context_layers=0, d=8, r=8, mlp_dropout=0.0, dtype="float32")
+        model = build_model(cfg, toy_vocab, seed=0)
+        assert model.parameters()[0].data.dtype == np.float32
+        res = train(model, toy_corpus[0], [], toy_vocab,
+                    TrainConfig(epochs=1, lr=1e-3, use_swa=False, seed=0))
+        assert np.isfinite(res.metrics[0]["train_loss"])
 
     def test_float32_arcloc_training_graph_stays_float32(self, toy_corpus, toy_vocab):
-        from arcforge import tensor as T
         from arcforge.model import ModelConfig, build_model
         from arcforge.training import TrainConfig, sentence_loss, train
 
-        previous = T.set_default_dtype(np.float32)
-        try:
-            cfg = ModelConfig(kind="arcloc", n_labels=toy_vocab.n_labels, emb_dim=16,
-                              context_layers=1, d=8, r=8, layers=2, k=2)
-            model = build_model(cfg, toy_vocab, seed=0)
-            train(model, toy_corpus[0][:8], [], toy_vocab,
-                  TrainConfig(epochs=1, lr=1e-3, use_swa=False, seed=0))
-            sentence = max(toy_corpus[0][:8], key=len)
-            assert cfg.k < len(sentence)
-            model.train()
-            model.zero_grad()
-            loss = sentence_loss(model, sentence, toy_vocab)
-            assert np.isfinite(loss.item())
-            nodes, stack = {}, [loss]
-            while stack:
-                node = stack.pop()
-                if id(node) not in nodes:
-                    nodes[id(node)] = node
-                    stack.extend(node._prev)
-            loss.backward()
-            for node in nodes.values():
-                assert node.data.dtype == np.float32, node
-                assert node.grad is None or node.grad.dtype == np.float32, node
-            for name, p in model.named_parameters():
-                assert p.data.dtype == np.float32, name
-                assert p.grad is None or p.grad.dtype == np.float32, name
-            assert any(p.grad is not None for p in model.refiner_layers.parameters())
-        finally:
-            T.set_default_dtype(previous)
+        cfg = ModelConfig(kind="arcloc", n_labels=toy_vocab.n_labels, emb_dim=16,
+                          context_layers=1, d=8, r=8, layers=2, k=2, dtype="float32")
+        model = build_model(cfg, toy_vocab, seed=0)
+        train(model, toy_corpus[0][:8], [], toy_vocab,
+              TrainConfig(epochs=1, lr=1e-3, use_swa=False, seed=0))
+        sentence = max(toy_corpus[0][:8], key=len)
+        assert cfg.k < len(sentence)
+        model.train()
+        model.zero_grad()
+        loss = sentence_loss(model, sentence, toy_vocab)
+        assert np.isfinite(loss.item())
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._prev)
+        loss.backward()
+        for node in nodes.values():
+            assert node.data.dtype == np.float32, node
+            assert node.grad is None or node.grad.dtype == np.float32, node
+        for name, p in model.named_parameters():
+            assert p.data.dtype == np.float32, name
+            assert p.grad is None or p.grad.dtype == np.float32, name
+        assert any(p.grad is not None for p in model.refiner_layers.parameters())
 
     def test_grad_check_refuses_float32(self):
         from arcforge import tensor as T
 
-        T.set_default_dtype(np.float32)
-        try:
-            x = T.Tensor(np.ones(2), requires_grad=True)
-            with pytest.raises(RuntimeError, match="64-bit"):
-                T.grad_check(lambda: T.tsum(x * x), x)
-        finally:
-            T.set_default_dtype(np.float64)
+        x = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        with pytest.raises(ValueError, match="64-bit"):
+            T.grad_check(lambda: T.tsum(x * x), x)

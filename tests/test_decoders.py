@@ -513,6 +513,15 @@ class TestCle:
         assert tree_score(s, heads) == pytest.approx(150.0)
 
 
+class TestTreeScore:
+    def test_float32_scores_summed_in_float64(self):
+        s = np.zeros((4, 4), dtype=np.float32)
+        s[0, 1], s[1, 2], s[1, 3] = 2.0 ** 24, 1.0, 1.0  # float32 drops each added 1
+        score = tree_score(s, [0, 1, 1])
+        assert type(score) is float
+        assert score == float(s[0, 1]) + float(s[1, 2]) + float(s[1, 3]) == 2.0 ** 24 + 2
+
+
 class TestNaN:
     @pytest.mark.parametrize("decoder", [cle, eisner])
     @pytest.mark.parametrize("arc", [(2, 4), (4, 2), (0, 3)])

@@ -1,5 +1,7 @@
 """Model assembly, prediction, and checkpoint tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,10 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="unknown model kind"):
             ModelConfig(kind="crf2o", n_labels=2, emb_dim=8)
 
+    def test_bad_dtype(self, toy_vocab):
+        with pytest.raises(ValueError, match="dtype must be float64 or float32"):
+            arc_cfg(toy_vocab, dtype="float16")
+
     def test_odd_r_rejected(self):
         with pytest.raises(ValueError, match="even"):
             ModelConfig(kind="arcloc", n_labels=2, emb_dim=8, d=4, r=5)
@@ -61,7 +67,7 @@ class TestPredict:
         model.eval()
         for decoder in ("eisner", "mst"):
             res = model.predict(Sentence([]), toy_vocab, decoder=decoder)
-            assert (res.heads, res.label_ids, res.labels) == ([], [], [])
+            assert (res.heads, res.label_ids, res.labels, res.score) == ([], [], [], 0.0)
 
     def test_unknown_decoder_rejected(self, toy_corpus, toy_vocab):
         model = build_model(arc_cfg(toy_vocab), toy_vocab, seed=2)
@@ -173,6 +179,32 @@ class TestCheckpoint:
         m2, _, _ = load_checkpoint(p2)
         for k, arr in model.state_dict().items():
             assert np.array_equal(arr, m2.state_dict()[k])
+
+    def test_float32_round_trip_keeps_dtype_bitwise(self, tmp_path, toy_vocab):
+        model = build_model(arc_cfg(toy_vocab, layers=1, k=2, dtype="float32"), toy_vocab, seed=6)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, toy_vocab)
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.cfg.dtype == "float32"
+        saved = model.state_dict()
+        for name, arr in loaded.state_dict().items():
+            assert arr.dtype == np.float32, name
+            assert arr.tobytes() == saved[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_checkpoint_without_dtype_key_takes_its_arrays_dtype(self, tmp_path, toy_vocab, dtype):
+        model = build_model(arc_cfg(toy_vocab, dtype=dtype), toy_vocab, seed=6)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, toy_vocab)
+        with np.load(path) as z:
+            arrays = {key: z[key] for key in z.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        del meta["model"]["dtype"]  # as written before the key existed
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.cfg.dtype == dtype
+        assert {p.data.dtype.name for p in loaded.parameters()} == {dtype}
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"

@@ -365,6 +365,25 @@ class TestTrainLoop:
             evaluate_model(model, toy_corpus[1][:1], toy_vocab, decoder="viterbi")
         assert model.training
 
+    # Best dev LAS, float32 minus float64, with this configuration and
+    # seeds 1-8 (58 dev words, so one word is 1.72 points): 0, -3.45,
+    # -1.72, 0, 0, +1.72, 0, 0. The margin sits just above the largest gap.
+    FLOAT32_LAS_MARGIN = 4.0
+
+    def test_float32_dev_las_close_to_float64(self, toy_corpus, toy_vocab):
+        train_sents, dev_sents = toy_corpus
+        las = {}
+        for dtype in ("float64", "float32"):
+            model = build_model(toy_model_config(toy_vocab, layers=1, k=10, dtype=dtype),
+                                toy_vocab, seed=1)
+            res = train(model, train_sents, dev_sents, toy_vocab,
+                        TrainConfig(epochs=60, lr=1e-3, lr_transformer=1e-3, warmup_epochs=0,
+                                    warmup_epochs_transformer=0, use_swa=False, seed=1))
+            assert {p.data.dtype.name for p in model.parameters()} == {dtype}
+            las[dtype] = res.best_las
+        assert las["float64"] >= 90.0
+        assert abs(las["float32"] - las["float64"]) <= self.FLOAT32_LAS_MARGIN, las
+
 
 class TestSentenceLoss:
     def test_filter_aux_loss_hook(self, toy_corpus, toy_vocab):
