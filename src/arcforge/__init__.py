@@ -9,7 +9,7 @@ transformer layers over a differentiable top-k arc filter.
 from .tensor import Tensor, grad_check
 from .conllu import Sentence, Token, Vocab, build_vocab, parse_conllu, write_conllu
 from .decoders import brute_force_best_tree, cle, eisner, tree_score
-from .encoder import Encoder, EncoderConfig
+from .encoder import Encoder
 from .refiner import filter_topk, num_heads, refine
 from .model import (
     ArcLocModel,
@@ -50,7 +50,6 @@ __all__ = [
     "eisner",
     "tree_score",
     "Encoder",
-    "EncoderConfig",
     "filter_topk",
     "num_heads",
     "refine",

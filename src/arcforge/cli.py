@@ -73,7 +73,7 @@ def _vocab_for_config(cfg: RunConfig) -> Vocab:
     if cfg.train_file:
         return build_vocab(_read_conllu_file(cfg.train_file), min_count=cfg.min_count)
     if cfg.n_labels is None:
-        raise SystemExit("config needs train_file or n_labels")
+        raise ValueError("config needs train_file or n_labels")
     return Vocab(
         form_to_id={"w": 2},
         upos_to_id={"X": 2},

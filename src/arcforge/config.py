@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, make_dataclass
 
-from .model import DTYPES, ModelConfig
+from .model import ModelConfig
 from .training import TrainConfig
 
 # ModelConfig fields that a run sets itself: kind comes from model_kind,
@@ -33,9 +33,9 @@ class _RunKeys:
     n_labels: int | None = None
 
     def __post_init__(self):
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
-        self.train_config()  # rejects bad training keys before any work starts
+        # reject bad keys before any work starts
+        self.train_config()
+        self.model_config(1)
 
     def model_config(self, n_labels: int) -> ModelConfig:
         return ModelConfig(kind=self.model_kind, n_labels=n_labels,

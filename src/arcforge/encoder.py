@@ -8,35 +8,12 @@ sinusoidal position encodings added at the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conllu import Sentence, Vocab
 from .nn import Linear, Module, ModuleList
-from .refiner import TransformerLayer, num_heads
+from .refiner import TransformerLayer
 from .tensor import Tensor, dropout, embedding_gather, relu
-
-
-@dataclass
-class EncoderConfig:
-    emb_dim: int
-    context_layers: int = 2
-    context_heads: int | None = None
-    emb_dropout: float = 0.0
-    use_upos: bool = True
-    exact_counts: bool = False
-
-    def __post_init__(self):
-        if self.emb_dim < 2:
-            raise ValueError(f"emb_dim must be >= 2, got {self.emb_dim}")
-        if self.context_layers < 0:
-            raise ValueError("context_layers must be >= 0")
-        if self.context_heads is None:
-            self.context_heads = num_heads(self.emb_dim)
-        if self.context_layers > 0 and self.emb_dim % self.context_heads:
-            raise ValueError(
-                f"emb_dim {self.emb_dim} not divisible by {self.context_heads} heads")
 
 
 _SINUSOIDS: dict[int, np.ndarray] = {}  # dim -> read-only table, grown by doubling
@@ -68,18 +45,24 @@ def _sinusoids(length: int, dim: int) -> np.ndarray:
 
 
 class Encoder(Module):
-    def __init__(self, n_forms: int, n_upos: int, cfg: EncoderConfig, rng: np.random.Generator):
+    """Summed form/UPOS embeddings, then ``context_layers`` self-attention
+    layers; with the defaults it is a plain embedding lookup."""
+
+    def __init__(self, n_forms: int, n_upos: int, emb_dim: int, rng: np.random.Generator,
+                 context_layers: int = 0, context_heads: int = 1, emb_dropout: float = 0.0,
+                 use_upos: bool = True, exact_counts: bool = False):
         super().__init__()
-        self.cfg = cfg
-        scale = cfg.emb_dim ** -0.5
-        self.form_emb = Tensor(rng.normal(0.0, scale, size=(n_forms, cfg.emb_dim)), requires_grad=True)
+        self.emb_dim = emb_dim
+        self.emb_dropout = emb_dropout
+        scale = emb_dim ** -0.5
+        self.form_emb = Tensor(rng.normal(0.0, scale, size=(n_forms, emb_dim)), requires_grad=True)
         self.upos_emb = (
-            Tensor(rng.normal(0.0, scale, size=(n_upos, cfg.emb_dim)), requires_grad=True)
-            if cfg.use_upos else None
+            Tensor(rng.normal(0.0, scale, size=(n_upos, emb_dim)), requires_grad=True)
+            if use_upos else None
         )
         self.context = ModuleList(
-            TransformerLayer(cfg.emb_dim, cfg.context_heads, rng, exact_counts=cfg.exact_counts)
-            for _ in range(cfg.context_layers)
+            TransformerLayer(emb_dim, context_heads, rng, exact_counts=exact_counts)
+            for _ in range(context_layers)
         )
         self.rng = rng
 
@@ -89,9 +72,9 @@ class Encoder(Module):
             if upos_ids is None:
                 raise ValueError("encoder configured with UPOS embeddings but got no upos ids")
             e = e + embedding_gather(self.upos_emb, upos_ids)
-        e = dropout(e, self.cfg.emb_dropout, self.training, self.rng)
+        e = dropout(e, self.emb_dropout, self.training, self.rng)
         if len(self.context):
-            e = e + sinusoidal_encoding(len(form_ids), self.cfg.emb_dim)
+            e = e + sinusoidal_encoding(len(form_ids), self.emb_dim)
             for layer in self.context:
                 e = layer(e)
         return e

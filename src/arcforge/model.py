@@ -17,7 +17,7 @@ import numpy as np
 
 from .conllu import Sentence, Vocab
 from .decoders import cle, eisner, tree_score
-from .encoder import Encoder, EncoderConfig, Specialization
+from .encoder import Encoder, Specialization
 from .nn import Module, ModuleList
 from .refiner import FilterOutput, TransformerLayer, filter_topk, num_heads, refine
 from .scorers import ArcScorer, LocScorer
@@ -35,8 +35,8 @@ class ModelConfig:
     kind: str
     n_labels: int
     emb_dim: int
-    context_layers: int = EncoderConfig.context_layers
-    context_heads: int | None = EncoderConfig.context_heads
+    context_layers: int = 2
+    context_heads: int | None = None  # None: num_heads(emb_dim)
     x: int | None = None
     y: int | None = None
     d: int | None = None
@@ -44,12 +44,11 @@ class ModelConfig:
     layers: int = 0
     k: int = 10
     mlp_dropout: float = 0.33
-    emb_dropout: float = EncoderConfig.emb_dropout
-    use_upos: bool = EncoderConfig.use_upos
-    exact_counts: bool = EncoderConfig.exact_counts
+    emb_dropout: float = 0.0
+    use_upos: bool = True
+    exact_counts: bool = False
     biaffine_bias: bool = False
-    gumbel_scale: float = 1.0
-    train_noise: bool = True
+    gumbel_scale: float = 1.0  # of the filter noise at train time; 0 turns it off
     filter_aux_weight: float = 0.0  # optional direct supervision of the filter
     dtype: str = "float64"  # of the parameters, and so of every activation
 
@@ -60,6 +59,15 @@ class ModelConfig:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.n_labels < 1:
             raise ValueError("n_labels must be >= 1")
+        if self.emb_dim < 2:
+            raise ValueError(f"emb_dim must be >= 2, got {self.emb_dim}")
+        if self.context_layers < 0:
+            raise ValueError("context_layers must be >= 0")
+        if self.context_heads is None:
+            self.context_heads = num_heads(self.emb_dim)
+        if self.context_layers > 0 and self.emb_dim % self.context_heads:
+            raise ValueError(
+                f"emb_dim {self.emb_dim} not divisible by {self.context_heads} heads")
         if self.kind == "loc":
             if not self.x or not self.y:
                 raise ValueError("loc requires arc (x) and label (y) MLP sizes")
@@ -98,12 +106,17 @@ class ForwardPass:
 
 
 class _ParserBase(Module):
+    # parameter name prefixes outside the closed-form parameter count
+    unaccounted_prefixes: tuple[str, ...] = ("encoder.",)
+
     def __init__(self, cfg: ModelConfig, n_forms: int, n_upos: int, seed: int):
         super().__init__()
         self.cfg = cfg
         self.rng = np.random.default_rng(seed)
-        enc_cfg = EncoderConfig(**{f.name: getattr(cfg, f.name) for f in fields(EncoderConfig)})
-        self.encoder = Encoder(n_forms, n_upos, enc_cfg, self.rng)
+        self.encoder = Encoder(n_forms, n_upos, cfg.emb_dim, self.rng,
+                               context_layers=cfg.context_layers, context_heads=cfg.context_heads,
+                               emb_dropout=cfg.emb_dropout, use_upos=cfg.use_upos,
+                               exact_counts=cfg.exact_counts)
 
     def forward_parse(self, sentence: Sentence, vocab: Vocab) -> ForwardPass:
         raise NotImplementedError
@@ -121,12 +134,8 @@ class _ParserBase(Module):
         specialization FFNs, biaffines, score/label heads, refinement
         layers. Embedding tables, the context encoder, and the filter
         head stay outside the accounted scope."""
-        out = []
-        for name, p in self.named_parameters():
-            if name.startswith("encoder."):
-                continue
-            out.append((name, p))
-        return out
+        return [(name, p) for name, p in self.named_parameters()
+                if not name.startswith(self.unaccounted_prefixes)]
 
     def accounted_param_count(self) -> int:
         return sum(p.data.size for _, p in self.accounted_parameters())
@@ -175,6 +184,8 @@ class LocModel(_ParserBase):
 
 
 class ArcLocModel(_ParserBase):
+    unaccounted_prefixes = ("encoder.", "scorer.filter_head.")
+
     def __init__(self, cfg: ModelConfig, n_forms: int, n_upos: int, seed: int = 0):
         super().__init__(cfg, n_forms, n_upos, seed)
         rng, pe, drop = self.rng, cfg.exact_counts, cfg.mlp_dropout
@@ -186,14 +197,6 @@ class ArcLocModel(_ParserBase):
             TransformerLayer(cfg.r, num_heads(cfg.r), rng, exact_counts=pe)
             for _ in range(cfg.layers)
         )
-
-    def accounted_parameters(self):
-        out = []
-        for name, p in self.named_parameters():
-            if name.startswith("encoder.") or name.startswith("scorer.filter_head."):
-                continue
-            out.append((name, p))
-        return out
 
     def forward_parse(self, sentence: Sentence, vocab: Vocab) -> ForwardPass:
         n = len(sentence)
@@ -210,9 +213,8 @@ class ArcLocModel(_ParserBase):
                 self.scorer.filter_head,
                 n,
                 cfg.k,
-                mode="train" if self.training else "eval",
                 rng=self.rng,
-                gumbel_scale=cfg.gumbel_scale if (self.training and cfg.train_noise) else 0.0,
+                gumbel_scale=cfg.gumbel_scale if self.training else 0.0,
                 st_grad=self.training,
             )
             v_final = refine(v0_flat, flt, self.refiner_layers)
@@ -258,21 +260,24 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
                 meta = json.loads(bytes(z["__meta__"]).decode())
                 if meta["format"] != CHECKPOINT_FORMAT:
                     raise ValueError(f"format {meta['format']!r}")
+                stored, vocab_data, extra = meta["model"], meta["vocab"], meta["extra"]
                 state = {key[len("param:"):]: z[key] for key in z.files if key.startswith("param:")}
         except Exception as exc:
             raise ValueError(f"{path}: not an arcforge checkpoint") from exc
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-    stored = meta["model"]
     # a checkpoint that predates the dtype key holds its parameters in it
     stored.setdefault("dtype", next((a.dtype.name for a in state.values()), "float64"))
+    # one written while train_noise was a key: false meant no filter noise
+    if not stored.pop("train_noise", True):
+        stored["gumbel_scale"] = 0.0
     problems = [f"unknown key {k!r}" for k in sorted(set(stored) - {f.name for f in fields(ModelConfig)})]
     problems += [f"missing key {f.name!r}" for f in fields(ModelConfig)
                  if f.default is MISSING and f.name not in stored]
     if problems:
         raise ValueError(f"{path}: bad model config: {', '.join(problems)}")
     cfg = ModelConfig(**stored)
-    vocab = Vocab.from_dict(meta["vocab"])
+    vocab = Vocab.from_dict(vocab_data)
     model = build_model(cfg, vocab, seed=0)
     model.load_state(state)
-    return model, vocab, meta["extra"]
+    return model, vocab, extra

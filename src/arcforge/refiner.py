@@ -12,7 +12,7 @@ candidate vectors, computed for every modifier in one batched product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,38 +127,33 @@ class TransformerLayer(Module):
 class FilterOutput:
     """Per-modifier kept head lists (most to least probable) plus the kept
     vectors as one sequence, aligned with kept_flat_idx into the flat
-    (n+1)^2 x r arc grid, modifier by modifier. discarded_flat_idx lists
-    the other candidate cells in ascending order. probs[j-1] holds
+    (n+1)^2 x r arc grid, modifier by modifier. probs[j-1] holds
     modifier j's filter probabilities over heads 0..n without j.
     logits_flat holds the noiseless filter logits for every arc cell (for
     diagnostics and the optional auxiliary loss)."""
 
-    n: int
-    k: int
     kept_heads: list[list[int]]
     kept_flat_idx: np.ndarray
     kept_vectors: Tensor | None
-    discarded_flat_idx: np.ndarray
-    probs: list[np.ndarray] = field(default_factory=list)
-    logits_flat: Tensor | None = None
+    probs: list[np.ndarray]
+    logits_flat: Tensor
 
 
 def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
-                mode: str = "eval", rng: np.random.Generator | None = None,
-                gumbel_scale: float = 1.0, st_grad: bool = True) -> FilterOutput:
+                rng: np.random.Generator | None = None,
+                gumbel_scale: float = 0.0, st_grad: bool = True) -> FilterOutput:
     """Keep the k highest-scoring head candidates for each modifier.
 
     All modifiers are filtered at once on an (n, n+1) logit matrix whose
     row j-1 holds modifier j's logits over heads 0..n, with -inf on the
-    cell where head equals modifier. Train mode adds Gumbel(0,1) noise
-    (scaled) to the candidate cells, drawn in row-major order, before a
-    row-wise softmax and a stable row-wise sort. Ties break toward the
-    smaller head index. With st_grad, kept vectors are straight-through
-    nodes whose backward path is the probability-weighted expectation of
-    the modifier's candidate vectors; otherwise they are plain gathers.
+    cell where head equals modifier. A positive gumbel_scale adds
+    Gumbel(0,1) noise times that scale to the candidate cells, drawn from
+    rng in row-major order, before a row-wise softmax and a stable
+    row-wise sort. Ties break toward the smaller head index. With
+    st_grad, kept vectors are straight-through nodes whose backward path
+    is the probability-weighted expectation of the modifier's candidate
+    vectors; otherwise they are plain gathers.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown filter mode {mode!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     big_n = n + 1
@@ -170,9 +165,9 @@ def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
     candidate = np.ones((n, big_n), dtype=bool)
     candidate[mods - 1, mods] = False
     offset = np.where(candidate, 0.0, -np.inf)
-    if mode == "train" and gumbel_scale > 0.0:
+    if gumbel_scale > 0.0:
         if rng is None:
-            raise ValueError("train-mode filter noise needs an rng")
+            raise ValueError("filter noise needs an rng")
         offset[candidate] = rng.gumbel(size=n * n) * gumbel_scale
     lg = by_mod + offset
     probs = softmax(lg, axis=-1)
@@ -185,17 +180,10 @@ def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
         expectation = arc_expectation(probs, v0_flat)
         kept_vectors = straight_through(
             kept_vectors, embedding_gather(expectation, np.repeat(mods - 1, kept_count)))
-    discarded = np.ones((big_n, big_n), dtype=bool)
-    np.fill_diagonal(discarded, False)
-    discarded[:, 0] = False
-    discarded.reshape(-1)[kept_flat] = False
     return FilterOutput(
-        n=n,
-        k=k,
         kept_heads=kept.tolist(),
         kept_flat_idx=kept_flat,
         kept_vectors=kept_vectors,
-        discarded_flat_idx=np.flatnonzero(discarded),
         probs=list(probs.data[candidate].reshape(n, n)),
         logits_flat=logits_all,
     )

@@ -94,7 +94,7 @@ def sentence_loss(model: _ParserBase, sentence: Sentence, vocab: Vocab) -> Tenso
     gold_ids = [vocab.label_id(lab) for lab in sentence.gold_labels]
     loss = loss + label_loss(fwd.label_logits_for(gold_arcs), gold_ids)
     aux_w = model.cfg.filter_aux_weight
-    if aux_w > 0.0 and fwd.filter_output is not None and fwd.filter_output.logits_flat is not None:
+    if aux_w > 0.0 and fwd.filter_output is not None:
         n = fwd.n
         logit_matrix = apply_arc_mask(reshape(fwd.filter_output.logits_flat, (n + 1, n + 1)), n)
         loss = loss + head_selection_loss(logit_matrix, heads) * aux_w

@@ -88,7 +88,7 @@ def test_criterion_3_straight_through_contract():
     big_n = n + 1
     v0 = Tensor(rng.normal(size=(big_n * big_n, r)), requires_grad=True)
     head = Linear(r, 1, rng, bias=True)
-    out = filter_topk(v0, head, n=n, k=k, mode="train",
+    out = filter_topk(v0, head, n=n, k=k,
                       rng=np.random.default_rng(1), gumbel_scale=0.0, st_grad=True)
     # forward: kept vectors are the hard selections, bitwise
     for row, flat in enumerate(out.kept_flat_idx):
@@ -195,7 +195,7 @@ def test_criterion_6_filter_oracle(toy_corpus, toy_vocab):
             if i == j:
                 continue
             v0[i * 4 + j, 0] = 5.0 if i == gold_head else 10.0 + i
-    flt = filter_topk(Tensor(v0), head, n=n, k=1, mode="eval")
+    flt = filter_topk(Tensor(v0), head, n=n, k=1)
     assert filter_oracle_uas([flt.kept_heads], [gold]) == 0.0
     # hand-counted mixed fixture
     two = [gold, Sentence([Token("d", "X", 2, "dep"), Token("e", "X", 0, "dep")])]
@@ -296,7 +296,7 @@ def test_criterion_10_training_determinism(toy_corpus, toy_vocab):
     for _ in range(2):
         cfg = ModelConfig(kind="arcloc", n_labels=toy_vocab.n_labels, emb_dim=32,
                           context_layers=1, d=16, r=16, layers=1, k=4,
-                          mlp_dropout=0.2, emb_dropout=0.1, train_noise=True)
+                          mlp_dropout=0.2, emb_dropout=0.1)
         model = build_model(cfg, toy_vocab, seed=9)
         res = train(model, toy_corpus[0], toy_corpus[1], toy_vocab,
                     TrainConfig(epochs=8, lr=1e-3, use_swa=True, swa_start_epoch=6,

@@ -26,6 +26,17 @@ def write(path, text):
     return str(path)
 
 
+def save_with_meta(model_path, out_path, edit):
+    """Copy a checkpoint to ``out_path`` with ``edit`` applied to its metadata."""
+    with np.load(model_path) as z:
+        arrays = {key: z[key] for key in z.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    edit(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(out_path, **arrays)
+    return out_path
+
+
 def metrics_rows(model_path):
     with open(model_path + ".metrics.jsonl", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
@@ -80,6 +91,13 @@ class TestParamsCommand:
         assert main(["params", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "formula:  4113" in out and "registry: 4113" in out
+
+    def test_config_without_corpus_or_label_count_fails(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", json.dumps({
+            "model_kind": "arcloc", "emb_dim": 16, "context_layers": 0, "d": 2, "r": 2,
+        }))
+        assert main(["params", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: config needs train_file or n_labels\n"
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json", json.dumps({"model_kind": "loc", "mystery": 1}))
@@ -211,25 +229,22 @@ class TestTrainParseEvalPipeline:
     ], ids=["unknown", "missing"])
     def test_bad_model_keys_in_checkpoint_rejected(self, trained_toy, tmp_path, capsys, edit, message):
         model_path, _, dev_path, _ = trained_toy
-        with np.load(model_path) as z:
-            arrays = {key: z[key] for key in z.files}
-        meta = json.loads(bytes(arrays["__meta__"]).decode())
-        edit(meta["model"])
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        bad_path = str(tmp_path / "bad.npz")
-        np.savez(bad_path, **arrays)
+        bad_path = save_with_meta(model_path, str(tmp_path / "bad.npz"), lambda m: edit(m["model"]))
         assert main(["parse", "--model", bad_path, "--input", dev_path,
                      "--output", str(tmp_path / "x.conllu")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad_path}: bad model config: ") and message in err
 
-    @pytest.mark.parametrize("foreign", ["truncated", "conllu"])
+    @pytest.mark.parametrize("foreign", ["truncated", "conllu", "no-vocab", "no-model"])
     def test_file_that_is_no_checkpoint_fails_parse(self, trained_toy, tmp_path, capsys, foreign):
         model_path, _, dev_path, _ = trained_toy
         bad_path = dev_path
         if foreign == "truncated":
             bad_path = str(tmp_path / "cut.npz")
             Path(bad_path).write_bytes(Path(model_path).read_bytes()[:3000])
+        elif foreign.startswith("no-"):
+            key = foreign[len("no-"):]
+            bad_path = save_with_meta(model_path, str(tmp_path / "bad.npz"), lambda m: m.pop(key))
         assert main(["parse", "--model", bad_path, "--input", dev_path,
                      "--output", str(tmp_path / "x.conllu")]) == 1
         assert capsys.readouterr().err == f"error: {bad_path}: not an arcforge checkpoint\n"

@@ -47,6 +47,12 @@ class TestLoad:
         with pytest.raises(ValueError, match="dtype"):
             RunConfig(dtype="float16")
 
+    def test_bad_head_count_fails_at_load(self, tmp_path):
+        p = write_cfg(tmp_path, {"model_kind": "arcloc", "d": 8, "r": 8,
+                                 "emb_dim": 10, "context_heads": 3})
+        with pytest.raises(ValueError, match="emb_dim 10 not divisible by 3 heads"):
+            load_run_config(p)
+
     @pytest.mark.parametrize("key, value", [("epochs", "1"), ("layers", 1.5), ("epochs", True)],
                              ids=["str-for-int", "float-for-int", "bool-for-int"])
     def test_wrong_json_type_names_the_key(self, tmp_path, key, value):
@@ -90,18 +96,6 @@ class TestMapping:
         assert run.train_config().resolved_lr("arcloc") == pytest.approx(3.7e-5)
         assert run.train_config().resolved_swa_lr("loc") == pytest.approx(5e-6)
         assert run.train_config().resolved_swa_lr("arcloc") == pytest.approx(3.7e-6)
-
-    def test_encoder_defaults_match_model_defaults(self):
-        from dataclasses import MISSING, fields
-
-        from arcforge.encoder import EncoderConfig
-        from arcforge.model import ModelConfig
-
-        model_defaults = {f.name: f.default for f in fields(ModelConfig)}
-        shared = [f for f in fields(EncoderConfig) if f.default is not MISSING]
-        assert len(shared) == 5
-        for f in shared:
-            assert model_defaults[f.name] == f.default, f.name
 
 
 class TestFloat32Mode:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arcforge.conllu import Sentence, Token, build_vocab, parse_conllu
-from arcforge.encoder import Encoder, EncoderConfig, Specialization, sinusoidal_encoding
+from arcforge.encoder import Encoder, Specialization, sinusoidal_encoding
 from arcforge.model import ArcLocModel, LocModel, ModelConfig
 
 
@@ -26,8 +26,7 @@ def small_vocab():
 
 class TestEncode:
     def test_no_context_equals_lookup(self, small_vocab):
-        cfg = EncoderConfig(emb_dim=8, context_layers=0, emb_dropout=0.0)
-        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, cfg, np.random.default_rng(0))
+        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, 8, np.random.default_rng(0))
         enc.eval()
         sent = sentence(("dog", "NOUN"), ("runs", "VERB"))
         out = enc.encode(sent, small_vocab)
@@ -38,31 +37,30 @@ class TestEncode:
 
     def test_shape_includes_root_row(self, small_vocab):
         for layers in (0, 1):
-            cfg = EncoderConfig(emb_dim=8, context_layers=layers)
-            enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, cfg, np.random.default_rng(0))
+            enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, 8, np.random.default_rng(0),
+                          context_layers=layers)
             enc.eval()
             out = enc.encode(sentence(("dog", "NOUN"), ("runs", "VERB"), ("dog", "NOUN")), small_vocab)
             assert out.data.shape == (4, 8)
 
     def test_shared_token_identical_rows_without_context(self, small_vocab):
-        cfg = EncoderConfig(emb_dim=8, context_layers=0)
-        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, cfg, np.random.default_rng(0))
+        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, 8, np.random.default_rng(0))
         enc.eval()
         a = enc.encode(sentence(("dog", "NOUN"), ("runs", "VERB")), small_vocab)
         b = enc.encode(sentence(("dog", "NOUN"), ("sleeps", "VERB")), small_vocab)
         assert np.array_equal(a.data[1], b.data[1])
 
     def test_context_layer_is_context_sensitive(self, small_vocab):
-        cfg = EncoderConfig(emb_dim=8, context_layers=1, context_heads=2)
-        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, cfg, np.random.default_rng(1))
+        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, 8, np.random.default_rng(1),
+                      context_layers=1, context_heads=2)
         enc.eval()
         a = enc.encode(sentence(("dog", "NOUN"), ("runs", "VERB")), small_vocab)
         b = enc.encode(sentence(("dog", "NOUN"), ("sleeps", "VERB")), small_vocab)
         assert not np.allclose(a.data[1], b.data[1])
 
     def test_deterministic_in_eval_mode(self, small_vocab):
-        cfg = EncoderConfig(emb_dim=8, context_layers=2, emb_dropout=0.33)
-        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, cfg, np.random.default_rng(2))
+        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, 8, np.random.default_rng(2),
+                      context_layers=2, emb_dropout=0.33)
         enc.eval()
         sent = sentence(("dog", "NOUN"), ("runs", "VERB"))
         a = enc.encode(sent, small_vocab)
@@ -70,23 +68,23 @@ class TestEncode:
         assert np.array_equal(a.data, b.data)
 
     def test_unknown_form_maps_to_unk_embedding(self, small_vocab):
-        cfg = EncoderConfig(emb_dim=8, context_layers=0)
-        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, cfg, np.random.default_rng(3))
+        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, 8, np.random.default_rng(3))
         enc.eval()
         out = enc.encode(sentence(("zebra", "NOUN"),), small_vocab)
         expected = enc.form_emb.data[1] + enc.upos_emb.data[small_vocab.upos_id("NOUN")]
         assert np.array_equal(out.data[1], expected)
 
     def test_upos_disabled(self, small_vocab):
-        cfg = EncoderConfig(emb_dim=8, context_layers=0, use_upos=False)
-        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, cfg, np.random.default_rng(4))
+        enc = Encoder(small_vocab.n_forms, small_vocab.n_upos, 8, np.random.default_rng(4),
+                      use_upos=False)
         enc.eval()
         out = enc.encode(sentence(("dog", "NOUN"),), small_vocab)
         assert np.array_equal(out.data[1], enc.form_emb.data[small_vocab.form_id("dog")])
 
     def test_heads_must_divide_width(self):
         with pytest.raises(ValueError, match="divisible"):
-            EncoderConfig(emb_dim=10, context_layers=1, context_heads=3)
+            ModelConfig(kind="arcloc", n_labels=2, emb_dim=10, context_layers=1, context_heads=3,
+                        d=4, r=4)
 
 
 class TestSinusoidal:

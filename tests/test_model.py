@@ -14,6 +14,7 @@ from arcforge.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from arcforge.refiner import num_heads
 from arcforge.training import TrainConfig, sentence_loss
 
 
@@ -22,6 +23,16 @@ def arc_cfg(vocab, **kw):
                 d=16, r=16, mlp_dropout=0.0, emb_dropout=0.0)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def edit_checkpoint_meta(path, edit):
+    """Rewrite a saved checkpoint's model config in place with ``edit``."""
+    with np.load(path) as z:
+        arrays = {key: z[key] for key in z.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    edit(meta["model"])
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
 
 
 class TestModelConfig:
@@ -48,6 +59,18 @@ class TestModelConfig:
     def test_odd_r_rejected(self):
         with pytest.raises(ValueError, match="even"):
             ModelConfig(kind="arcloc", n_labels=2, emb_dim=8, d=4, r=5)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("emb_dim", 1, "emb_dim must be >= 2"),
+        ("context_layers", -1, "context_layers must be >= 0"),
+    ])
+    def test_encoder_sizes_checked(self, toy_vocab, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            arc_cfg(toy_vocab, **{key: value})
+
+    def test_context_heads_default_to_width_rule(self, toy_vocab):
+        assert arc_cfg(toy_vocab, emb_dim=64).context_heads == num_heads(64) == 4
+        assert arc_cfg(toy_vocab, context_heads=8).context_heads == 8
 
 
 class TestPredict:
@@ -76,7 +99,7 @@ class TestPredict:
 
     def test_eval_prediction_deterministic_with_noise_config(self, toy_corpus, toy_vocab):
         # gumbel noise must be inert outside training mode
-        model = build_model(arc_cfg(toy_vocab, layers=1, k=2, train_noise=True), toy_vocab, seed=3)
+        model = build_model(arc_cfg(toy_vocab, layers=1, k=2), toy_vocab, seed=3)
         model.eval()
         sent = toy_corpus[0][0]
         a = model.predict(sent, toy_vocab)
@@ -196,15 +219,32 @@ class TestCheckpoint:
         model = build_model(arc_cfg(toy_vocab, dtype=dtype), toy_vocab, seed=6)
         path = tmp_path / "model.npz"
         save_checkpoint(path, model, toy_vocab)
-        with np.load(path) as z:
-            arrays = {key: z[key] for key in z.files}
-        meta = json.loads(bytes(arrays["__meta__"]).decode())
-        del meta["model"]["dtype"]  # as written before the key existed
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        edit_checkpoint_meta(path, lambda m: m.pop("dtype"))  # as written before the key existed
         loaded, _, _ = load_checkpoint(path)
         assert loaded.cfg.dtype == dtype
         assert {p.data.dtype.name for p in loaded.parameters()} == {dtype}
+
+    @pytest.mark.parametrize("train_noise, gumbel_scale", [(False, 0.0), (True, 0.5)])
+    def test_checkpoint_with_train_noise_key_keeps_its_meaning(
+            self, tmp_path, toy_corpus, toy_vocab, train_noise, gumbel_scale):
+        model = build_model(arc_cfg(toy_vocab, layers=1, k=2, gumbel_scale=0.5), toy_vocab, seed=7)
+        model.eval()
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, toy_vocab)
+
+        def as_written_with_train_noise(m):
+            m.update(train_noise=train_noise, context_heads=None)
+            del m["dtype"]
+
+        edit_checkpoint_meta(path, as_written_with_train_noise)
+        loaded, vocab2, _ = load_checkpoint(path)
+        assert loaded.cfg.gumbel_scale == gumbel_scale
+        assert loaded.cfg.context_heads == num_heads(32)
+        loaded.eval()
+        for decoder in ("eisner", "mst"):
+            for sent in toy_corpus[1][:4]:
+                assert (loaded.predict(sent, vocab2, decoder=decoder)
+                        == model.predict(sent, toy_vocab, decoder=decoder))
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"

@@ -66,8 +66,8 @@ def make_filter_fixture(n=3, r=2, seed=0):
     return tt(v0), head
 
 
-def reference_filter_topk(v0_flat, filter_head, n, k, mode="eval", rng=None,
-                          gumbel_scale=1.0, st_grad=True):
+def reference_filter_topk(v0_flat, filter_head, n, k, rng=None, gumbel_scale=0.0,
+                          st_grad=True):
     """The per-modifier loop that filter_topk replaces, kept as its oracle."""
     big_n = n + 1
     logits_all = filter_head(v0_flat)
@@ -76,7 +76,7 @@ def reference_filter_topk(v0_flat, filter_head, n, k, mode="eval", rng=None,
         valid = [i for i in range(big_n) if i != j]
         idx = [i * big_n + j for i in valid]
         lg = reshape(embedding_gather(logits_all, idx), (len(valid),))
-        if mode == "train" and gumbel_scale > 0.0:
+        if gumbel_scale > 0.0:
             lg = lg + Tensor(rng.gumbel(size=len(valid)) * gumbel_scale)
         probs = softmax(lg)
         order = argsort_descending(lg.data)
@@ -91,15 +91,9 @@ def reference_filter_topk(v0_flat, filter_head, n, k, mode="eval", rng=None,
             hard = embedding_gather(v0_flat, [h * big_n + j])
             kept_vecs.append(straight_through(hard, expectation) if st_grad else hard)
             kept_flat.append(h * big_n + j)
-    kept_flat_arr = np.asarray(kept_flat, dtype=np.intp)
-    all_valid = np.asarray(
-        [i * big_n + j for j in range(1, big_n) for i in range(big_n) if i != j],
-        dtype=np.intp,
-    )
     return FilterOutput(
-        n=n, k=k, kept_heads=kept_heads, kept_flat_idx=kept_flat_arr,
+        kept_heads=kept_heads, kept_flat_idx=np.asarray(kept_flat, dtype=np.intp),
         kept_vectors=concat(kept_vecs, axis=0) if kept_vecs else None,
-        discarded_flat_idx=np.setdiff1d(all_valid, kept_flat_arr),
         probs=probs_out, logits_flat=logits_all,
     )
 
@@ -129,7 +123,7 @@ def filter_cases(draw):
     ties = draw(st.booleans())
     return {
         "n": n, "k": k, "ties": ties,
-        "mode": draw(st.sampled_from(["train", "eval"])),
+        "gumbel_scale": draw(st.sampled_from([0.0, 0.5, 1.0])),
         "st_grad": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
@@ -149,7 +143,7 @@ class TestFilterAgainstReference:
         head.weight.data[:] = 0.0
         head.weight.data[0, 0] = 1.0
         w = tt(data_rng.normal(size=(n * min(k, n), r)), grad=False)
-        kwargs = dict(n=n, k=k, mode=case["mode"], st_grad=case["st_grad"], gumbel_scale=1.0)
+        kwargs = dict(n=n, k=k, st_grad=case["st_grad"], gumbel_scale=case["gumbel_scale"])
         got, got_grads = _filter_gradients(
             filter_topk, v0, head, w, rng=np.random.default_rng(case["seed"]), **kwargs)
         ref, ref_grads = _filter_gradients(
@@ -158,8 +152,6 @@ class TestFilterAgainstReference:
         assert all(type(h) is int for heads in got.kept_heads for h in heads)
         assert got.kept_flat_idx.dtype == ref.kept_flat_idx.dtype
         assert np.array_equal(got.kept_flat_idx, ref.kept_flat_idx)
-        assert got.discarded_flat_idx.dtype == ref.discarded_flat_idx.dtype
-        assert np.array_equal(got.discarded_flat_idx, ref.discarded_flat_idx)
         assert np.array_equal(got.kept_vectors.data, ref.kept_vectors.data)
         assert len(got.probs) == len(ref.probs) == n
         for p_got, p_ref in zip(got.probs, ref.probs):
@@ -177,40 +169,39 @@ class TestFilterTopk:
         v0.data[0 * big_n + 1, 0] = 2.0
         v0.data[2 * big_n + 1, 0] = 1.0
         v0.data[3 * big_n + 1, 0] = 0.5
-        out = filter_topk(v0, head, n=3, k=2, mode="eval")
+        out = filter_topk(v0, head, n=3, k=2)
         assert out.kept_heads[0] == [0, 2]
         for row, flat in enumerate(out.kept_flat_idx):
             assert np.array_equal(out.kept_vectors.data[row], v0.data[flat])
 
     def test_k_exceeding_valid_keeps_all(self):
         v0, head = make_filter_fixture(n=3)
-        out = filter_topk(v0, head, n=3, k=10, mode="eval")
+        out = filter_topk(v0, head, n=3, k=10)
         for j, kept in enumerate(out.kept_heads, start=1):
             assert sorted(kept) == [i for i in range(4) if i != j]
         assert len(out.kept_flat_idx) == 9
-        assert out.discarded_flat_idx.size == 0
 
     def test_kept_indices_distinct_and_valid(self):
         v0, head = make_filter_fixture(n=5, seed=3)
-        out = filter_topk(v0, head, n=5, k=3, mode="eval")
+        out = filter_topk(v0, head, n=5, k=3)
         for j, kept in enumerate(out.kept_heads, start=1):
             assert len(set(kept)) == len(kept) == 3
             assert all(0 <= h <= 5 and h != j for h in kept)
 
     def test_eval_deterministic(self):
         v0, head = make_filter_fixture(n=4, seed=4)
-        a = filter_topk(v0, head, n=4, k=2, mode="eval")
-        b = filter_topk(v0, head, n=4, k=2, mode="eval")
+        a = filter_topk(v0, head, n=4, k=2)
+        b = filter_topk(v0, head, n=4, k=2)
         assert a.kept_heads == b.kept_heads
         assert np.array_equal(a.kept_vectors.data, b.kept_vectors.data)
 
     def test_train_noise_perturbs_selection(self):
         v0, head = make_filter_fixture(n=5, seed=5)
         rng = np.random.default_rng(0)
-        base = filter_topk(v0, head, n=5, k=2, mode="eval")
+        base = filter_topk(v0, head, n=5, k=2)
         seen_diff = False
         for _ in range(20):
-            noisy = filter_topk(v0, head, n=5, k=2, mode="train", rng=rng, gumbel_scale=1.0)
+            noisy = filter_topk(v0, head, n=5, k=2, rng=rng, gumbel_scale=1.0)
             if noisy.kept_heads != base.kept_heads:
                 seen_diff = True
                 break
@@ -218,9 +209,8 @@ class TestFilterTopk:
 
     def test_train_without_noise_matches_eval(self):
         v0, head = make_filter_fixture(n=4, seed=6)
-        train = filter_topk(v0, head, n=4, k=2, mode="train",
-                            rng=np.random.default_rng(0), gumbel_scale=0.0)
-        ev = filter_topk(v0, head, n=4, k=2, mode="eval")
+        train = filter_topk(v0, head, n=4, k=2, rng=np.random.default_rng(0), gumbel_scale=0.0)
+        ev = filter_topk(v0, head, n=4, k=2)
         assert train.kept_heads == ev.kept_heads
         assert np.array_equal(train.kept_vectors.data, ev.kept_vectors.data)
 
@@ -230,7 +220,7 @@ class TestFilterTopk:
         big_n = n + 1
         v0 = tt(rng.normal(size=(big_n * big_n, r)))
         head = Linear(r, 1, rng, bias=True)
-        out = filter_topk(v0, head, n=n, k=k, mode="train",
+        out = filter_topk(v0, head, n=n, k=k,
                           rng=np.random.default_rng(0), gumbel_scale=0.0, st_grad=True)
         # isolate modifier j=2: its kept rows sit at offset k (modifier 1 kept k rows)
         v0.grad = None
@@ -256,16 +246,11 @@ class TestFilterTopk:
 
     def test_plain_gather_mode_routes_gradient_to_selected_rows(self):
         v0, head = make_filter_fixture(n=3, seed=8)
-        out = filter_topk(v0, head, n=3, k=1, mode="eval", st_grad=False)
+        out = filter_topk(v0, head, n=3, k=1, st_grad=False)
         v0.grad = None
         tsum(out.kept_vectors).backward()
         nonzero_rows = {int(i) for i in np.nonzero(v0.grad.sum(axis=1))[0]}
         assert nonzero_rows == set(out.kept_flat_idx.tolist())
-
-    def test_bad_mode_rejected(self):
-        v0, head = make_filter_fixture()
-        with pytest.raises(ValueError, match="mode"):
-            filter_topk(v0, head, n=3, k=1, mode="decode")
 
 
 class TestTransformerLayer:
@@ -424,7 +409,7 @@ class TestRefine:
         layer.w_value.data[:] = 0.0
         layer.ffn_in.weight.data[:] = 0.0
         layer.ffn_out.weight.data[:] = 0.0
-        flt = filter_topk(v0, head, n=3, k=2, mode="eval")
+        flt = filter_topk(v0, head, n=3, k=2)
         out = refine(v0, flt, [layer])
         assert np.array_equal(out.data, v0.data)
 
@@ -432,9 +417,9 @@ class TestRefine:
         rng = np.random.default_rng(8)
         v0, head = make_filter_fixture(n=4, r=2, seed=8)
         layer = TransformerLayer(2, 1, rng)
-        flt = filter_topk(v0, head, n=4, k=1, mode="eval")
+        flt = filter_topk(v0, head, n=4, k=1)
         out = refine(v0, flt, [layer])
-        for idx in flt.discarded_flat_idx:
+        for idx in np.setdiff1d(np.arange(len(v0.data)), flt.kept_flat_idx):
             assert np.array_equal(out.data[idx], v0.data[idx])
         for idx in flt.kept_flat_idx:
             assert not np.allclose(out.data[idx], v0.data[idx])
@@ -447,7 +432,7 @@ class TestRefine:
         v0, head = make_filter_fixture(n=n, r=r, seed=9)
         layer = TransformerLayer(r, 2, rng)
         layer.eval()
-        flt = filter_topk(v0, head, n=n, k=n, mode="eval", st_grad=False)
+        flt = filter_topk(v0, head, n=n, k=n, st_grad=False)
         refined = refine(v0, flt, [layer])
         big_n = n + 1
         canonical = [i * big_n + j for j in range(1, big_n) for i in range(big_n) if i != j]
