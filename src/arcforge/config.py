@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, make_dataclass
 
-from .model import ModelConfig
+from .model import ModelConfig, _accepts
 from .training import TrainConfig
 
 # ModelConfig fields that a run sets itself: kind comes from model_kind,
@@ -57,15 +57,6 @@ RunConfig = make_dataclass(
 )
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}  # annotations such as "int | None"
-# the JSON values each annotated type takes: an int is a float, but a bool is no number
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "None": type(None)}
-
-
-def _accepts(annotation: str, value) -> bool:
-    names = annotation.split(" | ")
-    if isinstance(value, bool):
-        return "bool" in names
-    return any(isinstance(value, _JSON_TYPES[name]) for name in names)
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:

@@ -10,7 +10,6 @@ and heads exactly one word.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,11 +43,6 @@ def check_tree(heads: list[int]) -> bool:
         if walk[v] == start:
             return False
     return True
-
-
-def is_single_root_tree(heads: list[int]) -> bool:
-    """A tree rooted at 0 in which the root heads exactly one word."""
-    return heads.count(0) == 1 and check_tree(heads)
 
 
 def is_projective(heads: list[int]) -> bool:
@@ -285,25 +279,3 @@ def cle(scores: np.ndarray) -> list[int]:
             todo.extend((g, x) for x, g in zip(cyc, ring) if x != v)
         heads[v] = h
     return heads[1:]
-
-
-@lru_cache(maxsize=32)
-def _candidate_trees(n: int, projective: bool) -> tuple[tuple[int, ...], ...]:
-    no_self_loop = [[h for h in range(n + 1) if h != j] for j in range(1, n + 1)]
-    return tuple(
-        heads
-        for heads in itertools.product(*no_self_loop)
-        if is_single_root_tree(list(heads)) and (not projective or is_projective(list(heads)))
-    )
-
-
-def brute_force_best_tree(scores: np.ndarray, projective: bool) -> tuple[list[int], float]:
-    """Exhaustive argmax over single-root trees; the test oracle."""
-    n = scores.shape[0] - 1
-    if n > 7:
-        raise ValueError(f"brute force refuses n={n} > 7")
-    if n == 0:
-        return [], 0.0
-    trees = np.array(_candidate_trees(n, projective))
-    best = trees[int(np.argmax(scores[trees, np.arange(1, n + 1)].sum(axis=1)))].tolist()
-    return best, tree_score(scores, best)

@@ -29,6 +29,17 @@ CHECKPOINT_VERSION = 1
 DECODERS = ("eisner", "mst")  # projective Eisner, or Chu-Liu-Edmonds
 DTYPES = ("float64", "float32")  # float32 trades exactness for speed
 
+# the JSON values each annotated type takes: an int is a float, but a bool is no number
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "None": type(None)}
+
+
+def _accepts(annotation: str, value) -> bool:
+    """Whether a JSON value fits a field annotation such as "int | None"."""
+    names = annotation.split(" | ")
+    if isinstance(value, bool):
+        return "bool" in names
+    return any(isinstance(value, _JSON_TYPES[name]) for name in names)
+
 
 @dataclass
 class ModelConfig:
@@ -266,14 +277,22 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
             raise ValueError(f"{path}: not an arcforge checkpoint") from exc
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+    if not isinstance(stored, dict):
+        raise ValueError(f"{path}: model must be a JSON object")
+    tables = [f.name for f in fields(Vocab)]
+    if not (isinstance(vocab_data, dict) and all(isinstance(vocab_data.get(t), dict) for t in tables)):
+        raise ValueError(f"{path}: vocab must be a JSON object holding objects {', '.join(tables)}")
     # a checkpoint that predates the dtype key holds its parameters in it
     stored.setdefault("dtype", next((a.dtype.name for a in state.values()), "float64"))
     # one written while train_noise was a key: false meant no filter noise
     if not stored.pop("train_noise", True):
         stored["gumbel_scale"] = 0.0
-    problems = [f"unknown key {k!r}" for k in sorted(set(stored) - {f.name for f in fields(ModelConfig)})]
+    annotations = {f.name: f.type for f in fields(ModelConfig)}
+    problems = [f"unknown key {k!r}" for k in sorted(set(stored) - set(annotations))]
     problems += [f"missing key {f.name!r}" for f in fields(ModelConfig)
                  if f.default is MISSING and f.name not in stored]
+    problems += [f"{k!r} must be {annotations[k]}, got {json.dumps(v)}" for k, v in stored.items()
+                 if k in annotations and not _accepts(annotations[k], v)]
     if problems:
         raise ValueError(f"{path}: bad model config: {', '.join(problems)}")
     cfg = ModelConfig(**stored)

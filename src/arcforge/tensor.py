@@ -359,10 +359,16 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     out[:, h] = softmax(q[:, h] @ k[:, h].T / sqrt(dk)) @ v[:, h], where
     [:, h] is head h's block of dk = width / heads columns.
 
-    Each head multiplies contiguous copies of its column blocks, because
-    BLAS rounds strided views differently. Per-head arrays are kept for
-    backward only while a graph is recorded; otherwise one head's t x t
-    scores are alive at a time. Raises if a score row is entirely -inf.
+    The softmax is normalized late (Dao et al. 2022, FlashAttention): a
+    head scales q by 1/sqrt(dk), exponentiates its shifted scores e in
+    place, and divides the t x dk product e @ v by the row sums s, so no
+    pass scales or divides the t x t scores. Backward takes the softmax's
+    row term as rowsum(dO * O), a t x dk product. Each head multiplies
+    contiguous copies of its column blocks, because BLAS rounds strided
+    views differently. Per-head arrays (e, s and the head's output among
+    them) are kept for backward only while a graph is recorded; otherwise
+    one head's t x t scores are alive at a time. Raises if a score row is
+    entirely -inf.
     """
     if q.data.ndim != 2 or q.data.shape != k.data.shape or q.data.shape != v.data.shape:
         raise ValueError(f"attention expects equal 2-D q, k, v, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
@@ -375,32 +381,32 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     saved = [] if _recorded((q, k, v)) else None
     out = np.empty((t, width), dtype=np.result_type(q.data, v.data))
     for sl in blocks:
-        qh, kt, vh = q.data[:, sl].copy(), k.data[:, sl].T.copy(), v.data[:, sl].copy()
-        p = qh @ kt
-        p *= scale
-        m = p.max(axis=-1, keepdims=True)
+        qh, kt, vh = q.data[:, sl] * scale, k.data[:, sl].T.copy(), v.data[:, sl].copy()
+        e = qh @ kt
+        m = e.max(axis=-1, keepdims=True)
         if np.isneginf(m).any():
             raise ValueError("softmax over a fully masked (all -inf) slice")
-        p -= m
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        out[:, sl] = p @ vh
+        e -= m
+        np.exp(e, out=e)
+        s = e.sum(axis=-1, keepdims=True)
+        oh = e @ vh
+        oh /= s
+        out[:, sl] = oh
         if saved is not None:
-            saved.append((qh, kt, vh, p))
-        del p  # before the next head's scores are allocated
+            saved.append((qh, kt, vh, e, s, oh))
+        del e  # before the next head's scores are allocated
 
     def _bw(g):
         gq, gk, gv = (np.zeros_like(x.data) if x.requires_grad else None for x in (q, k, v))
-        for sl, (qh, kt, vh, p) in zip(blocks, saved):
-            gh = np.ascontiguousarray(g[:, sl])  # BLAS rounds strided views differently
+        for sl, (qh, kt, vh, e, s, oh) in zip(blocks, saved):
+            gh = g[:, sl] / s  # a contiguous copy: BLAS rounds strided views differently
             if gv is not None:
-                gv[:, sl] = p.T @ gh
-            gs = gh @ vh.T  # softmax and scale backward, in place
-            gs -= np.sum(gs * p, axis=-1, keepdims=True)
-            gs *= p
-            gs *= scale
+                gv[:, sl] = e.T @ gh
+            gs = gh @ vh.T  # softmax backward, in place
+            gs -= np.sum(gh * oh, axis=-1, keepdims=True)
+            gs *= e
             if gq is not None:
-                gq[:, sl] = gs @ kt.T
+                gq[:, sl] = (gs @ kt.T) * scale
             if gk is not None:
                 gk[:, sl] = (qh.T @ gs).T
         for x, gx in ((q, gq), (k, gk), (v, gv)):

@@ -235,6 +235,22 @@ class TestTrainParseEvalPipeline:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad_path}: bad model config: ") and message in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["model"].update(emb_dim="8"), "bad model config: 'emb_dim' must be int, got \"8\""),
+        (lambda m: m["model"].update(k=2.5), "bad model config: 'k' must be int, got 2.5"),
+        (lambda m: m["model"].update(use_upos="yes"), "bad model config: 'use_upos' must be bool, got \"yes\""),
+        (lambda m: m.update(model=list(m["model"].items())), "model must be a JSON object"),
+        (lambda m: m["vocab"].pop("label_to_id"), "vocab must be a JSON object holding objects"),
+    ], ids=["str-width", "float-k", "str-flag", "model-list", "no-label-table"])
+    def test_bad_checkpoint_values_rejected(self, trained_toy, tmp_path, capsys, edit, message):
+        model_path, _, dev_path, _ = trained_toy
+        bad_path = save_with_meta(model_path, str(tmp_path / "bad.npz"), edit)
+        assert main(["parse", "--model", bad_path, "--input", dev_path,
+                     "--output", str(tmp_path / "x.conllu")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad_path}: {message}")
+        assert err.count("error:") == 1 and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("foreign", ["truncated", "conllu", "no-vocab", "no-model"])
     def test_file_that_is_no_checkpoint_fails_parse(self, trained_toy, tmp_path, capsys, foreign):
         model_path, _, dev_path, _ = trained_toy

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arcforge.decoders import (
-    _masked,
-    brute_force_best_tree,
-    cle,
-    eisner,
-    is_projective,
-    is_single_root_tree,
-    tree_score,
-)
+from arcforge.decoders import _masked, cle, eisner, is_projective, tree_score
+from treeoracle import brute_force_best_tree, candidate_trees, is_single_root_tree
 
 
 def random_scores(n, rng, lo=-5.0, hi=5.0):
@@ -547,20 +540,16 @@ class TestNaN:
 
 class TestBruteForce:
     def test_two_token_candidates(self):
-        from arcforge.decoders import _candidate_trees
-
-        assert set(_candidate_trees(2, False)) == {(0, 1), (2, 0)}
+        assert set(candidate_trees(2, False)) == {(0, 1), (2, 0)}
 
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):
             brute_force_best_tree(np.zeros((9, 9)), projective=False)
 
     def test_projective_subset_of_nonprojective(self):
-        from arcforge.decoders import _candidate_trees
-
         for n in (2, 3, 4):
-            proj = set(_candidate_trees(n, True))
-            nonproj = set(_candidate_trees(n, False))
+            proj = set(candidate_trees(n, True))
+            nonproj = set(candidate_trees(n, False))
             assert proj <= nonproj
 
     def test_crossing_definition_matches_descendant_definition(self):
@@ -577,10 +566,8 @@ class TestBruteForce:
                         return False
             return True
 
-        from arcforge.decoders import _candidate_trees
-
         for n in (2, 3, 4, 5):
-            for heads in _candidate_trees(n, False):
+            for heads in candidate_trees(n, False):
                 assert is_projective(list(heads)) == projective_by_descendants(list(heads))
 
     def test_score_is_exact_sum(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arcforge.conllu import Sentence, Token
-from arcforge.decoders import cle, is_projective, is_single_root_tree, tree_score
+from arcforge.decoders import cle, is_projective, tree_score
 from arcforge.model import (
     ArcLocModel,
     ModelConfig,
@@ -16,6 +16,7 @@ from arcforge.model import (
 )
 from arcforge.refiner import num_heads
 from arcforge.training import TrainConfig, sentence_loss
+from treeoracle import is_single_root_tree
 
 
 def arc_cfg(vocab, **kw):

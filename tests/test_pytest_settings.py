@@ -1,0 +1,34 @@
+"""The repository's pytest settings keep a run going past a failed
+property test."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+FAILING_THEN_PASSING = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_failed_hypothesis_test_does_not_abort_the_run(tmp_path):
+    # hypothesis explains a failure with libcst, whose import warns; under
+    # filterwarnings = error that warning used to end the run as INTERNALERROR
+    (tmp_path / "test_two.py").write_text(FAILING_THEN_PASSING, encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

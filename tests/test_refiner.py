@@ -23,6 +23,7 @@ from arcforge.tensor import (
     argsort_descending,
     concat,
     embedding_gather,
+    grad_check,
     layer_norm,
     matmul,
     multi_head_attention,
@@ -333,6 +334,28 @@ def reference_attention(q, k, v, heads):
     return concat(outs, axis=1) if len(outs) > 1 else outs[0]
 
 
+def extended_attention(q, k, v, g, heads):
+    """Attention's output and the gradients of q, k, v for upstream
+    gradient g, evaluated in np.longdouble (80-bit on x86) from the
+    textbook formulas: the accuracy yardstick for both float64 versions."""
+    q, k, v, g = (np.asarray(a, dtype=np.longdouble) for a in (q, k, v, g))
+    dk = q.shape[1] // heads
+    scale = 1 / np.sqrt(np.longdouble(dk))
+    out, gq, gk, gv = (np.empty_like(q) for _ in range(4))
+    for h in range(heads):
+        sl = slice(h * dk, (h + 1) * dk)
+        scores = q[:, sl] @ k[:, sl].T * scale
+        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        out[:, sl] = p @ v[:, sl]
+        gv[:, sl] = p.T @ g[:, sl]
+        gp = g[:, sl] @ v[:, sl].T
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gq[:, sl] = gs @ k[:, sl] * scale
+        gk[:, sl] = gs.T @ q[:, sl] * scale
+    return out, gq, gk, gv
+
+
 @st.composite
 def attention_cases(draw):
     width = draw(st.sampled_from([2, 3, 4, 6, 8, 12, 16, 32]))
@@ -366,14 +389,83 @@ def _attention_run(attend, case):
     return [out.data, eval_out.data] + [a.grad for a in (q, k, v, x, *ws)]
 
 
+# multi_head_attention normalizes after the value product and scales q,
+# not the scores, so it rounds differently from reference_attention. The
+# largest gap seen over 15000 drawn cases was 4.4e-14 of the scale below
+# (largest at width 32, one head, where scores reach the hundreds and
+# their rounding moves the weights); the bound leaves a margin above it.
+REFERENCE_GAP = 2e-13
+
+
+def _scales(outputs, grads):
+    """Each output on its largest entry; each gradient on the largest
+    gradient entry of the case, because some exact gradients are zero or
+    nearly so (t = 1, where the softmax is constant; width 2, where layer
+    norm's output is; saturated scores) and there every version returns
+    rounding noise of that size."""
+    grad_scale = max(np.max(np.abs(g)) for g in grads if g is not None)
+    return [np.max(np.abs(o)) for o in outputs] + [grad_scale] * len(grads)
+
+
 class TestMultiHeadAttention:
     @settings(max_examples=150, deadline=None)
     @given(attention_cases())
-    def test_bitwise_equal_to_per_head_composition(self, case):
+    def test_matches_per_head_composition(self, case):
         got = _attention_run(multi_head_attention, case)
         ref = _attention_run(reference_attention, case)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
+        assert np.array_equal(got[0], got[1])  # no_grad() output equals the recorded one
+        for a, b, scale in zip(got, ref, _scales(ref[:2], ref[2:])):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.max(np.abs(a - b)) <= REFERENCE_GAP * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(2, 48), heads=st.sampled_from([1, 2, 4]), dk=st.sampled_from([1, 4, 16]),
+           amplitude=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_as_accurate_as_per_head_composition(self, t, heads, dk, amplitude, seed):
+        """Error against an extended-precision evaluation, on the scales of
+        the exact arrays: at most 4x the reference's own error, or 1e-14 of
+        the scale, whichever is larger."""
+        rng = np.random.default_rng(seed)
+        qkv = [rng.normal(size=(t, heads * dk)) * amplitude for _ in range(3)]
+        g = rng.normal(size=(t, heads * dk))
+        exact = extended_attention(*qkv, g, heads)
+        scales = _scales(exact[:1], exact[1:])
+
+        def errors(attend):
+            q, k, v = (tt(a) for a in qkv)
+            out = attend(q, k, v, heads)
+            tsum(out * tt(g, grad=False)).backward()
+            return [float(np.max(np.abs(a - e)) / scale)
+                    for a, e, scale in zip((out.data, q.grad, k.grad, v.grad), exact, scales)]
+
+        for err, ref_err in zip(errors(multi_head_attention), errors(reference_attention)):
+            assert err <= max(4 * ref_err, 1e-14)
+
+    def test_large_scores_stay_finite_and_gradcheck(self):
+        # softmax inputs q_h . k_h / sqrt(dk) reach +-800, past where exp
+        # overflows float64 (about 709); keys 0 and 1 nearly tie, so the
+        # softmax splits its weight and q and k carry gradient
+        rng = np.random.default_rng(21)
+        t, heads = 6, 2
+        k = rng.normal(size=(t, 4))
+        k[1] = k[0] + 1e-3 * rng.normal(size=4)
+        q = rng.normal(size=(t, 4))
+
+        def largest_score(q, k):
+            return max(np.max(np.abs(q[:, s] @ k[:, s].T)) for s in (slice(0, 2), slice(2, 4))) / math.sqrt(2)
+
+        q *= 800 / largest_score(q, k)
+        assert largest_score(q, k) == pytest.approx(800)
+        q, k, v = tt(q), tt(k), tt(rng.normal(size=(t, 4)))
+        w = tt(rng.normal(size=(t, 4)), grad=False)
+        out = multi_head_attention(q, k, v, heads)
+        tsum(out * w).backward()
+        assert all(np.isfinite(a).all() for a in (out.data, q.grad, k.grad, v.grad))
+        assert np.max(np.abs(q.grad)) > 0
+        for theta in (q, k, v):
+            err = grad_check(lambda: tsum(multi_head_attention(q, k, v, heads) * w), theta, eps=1e-5)
+            assert err < 1e-6
 
     def test_no_grad_keeps_nothing_and_one_score_matrix(self):
         rng = np.random.default_rng(12)
@@ -392,7 +484,7 @@ class TestMultiHeadAttention:
         out, peak = run(multi_head_attention)
         ref, ref_peak = run(reference_attention)
         assert out._prev == () and out._backward is None and not out.requires_grad
-        assert np.array_equal(out.data, ref.data)
+        assert np.max(np.abs(out.data - ref.data)) <= REFERENCE_GAP * np.max(np.abs(ref.data))
         assert peak < ref_peak
         assert peak < 2 * t * t * 8  # one head's float64 scores at a time
 
