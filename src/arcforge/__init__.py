@@ -8,7 +8,7 @@ transformer layers over a differentiable top-k arc filter.
 
 from .tensor import Tensor, grad_check
 from .conllu import Sentence, Token, Vocab, build_vocab, parse_conllu, write_conllu
-from .decoders import cle, eisner, tree_score
+from .decoders import cle, eisner
 from .encoder import Encoder
 from .refiner import filter_topk, num_heads, refine
 from .model import (
@@ -47,7 +47,6 @@ __all__ = [
     "write_conllu",
     "cle",
     "eisner",
-    "tree_score",
     "Encoder",
     "filter_topk",
     "num_heads",

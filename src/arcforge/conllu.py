@@ -148,7 +148,7 @@ def write_conllu(sentences: list[Sentence], predictions: list[tuple[list[int], l
                 head, label = heads[i - 1], labels[i - 1]
             lines.append(f"{i}\t{tok.form}\t_\t{tok.upos}\t_\t_\t{head}\t{label}\t_\t_")
         blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+    return "".join(b + "\n\n" for b in blocks)  # a blank line ends every sentence
 
 
 ROOT_ID = 0
@@ -157,8 +157,9 @@ UNK_ID = 1
 
 @dataclass
 class Vocab:
-    """Form/UPOS tables reserve id 0 for the root marker and 1 for unknowns;
-    label ids are dense from 0."""
+    """Form/UPOS tables reserve id 0 for the root marker and 1 for unknowns,
+    so their ids are the ints 2..len+1; label ids are the ints 0..L-1.
+    Each id is used once."""
 
     form_to_id: dict[str, int]
     upos_to_id: dict[str, int]
@@ -191,6 +192,11 @@ class Vocab:
         return self._labels_by_id[idx]
 
     def __post_init__(self):
+        for name, first in (("form_to_id", 2), ("upos_to_id", 2), ("label_to_id", 0)):
+            ids = list(getattr(self, name).values())
+            last = first + len(ids) - 1
+            if any(type(i) is not int for i in ids) or sorted(ids) != list(range(first, last + 1)):
+                raise ValueError(f"{name} ids must be the ints {first}..{last}, each used once")
         self._labels_by_id = {i: lab for lab, i in self.label_to_id.items()}
 
     def to_dict(self) -> dict:

@@ -10,13 +10,14 @@ optionally refined by transformer layers over the filtered arc set.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .conllu import Sentence, Vocab
-from .decoders import cle, eisner, tree_score
+from .decoders import cle, eisner
 from .encoder import Encoder, Specialization
 from .nn import Module, ModuleList
 from .refiner import FilterOutput, TransformerLayer, filter_topk, num_heads, refine
@@ -39,6 +40,15 @@ def _accepts(annotation: str, value) -> bool:
     if isinstance(value, bool):
         return "bool" in names
     return any(isinstance(value, _JSON_TYPES[name]) for name in names)
+
+
+def _check_range(cfg, keys: str, ok: Callable[[float], bool], rule: str) -> None:
+    """Raise ValueError naming the first of the space-separated ``keys``
+    whose value is set but not finite or not ``ok``."""
+    for key in keys.split():
+        value = getattr(cfg, key)
+        if value is not None and not (math.isfinite(value) and ok(value)):
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -66,6 +76,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
+        _check_range(self, "mlp_dropout emb_dropout", lambda v: 0 <= v < 1, "in [0, 1)")
+        _check_range(self, "gumbel_scale filter_aux_weight", lambda v: v >= 0, ">= 0")
+        _check_range(self, "x y d r", lambda v: v >= 1, ">= 1")
         if self.kind not in ("loc", "arcloc"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.n_labels < 1:
@@ -98,7 +111,6 @@ class ParseResult:
     heads: list[int]
     label_ids: list[int]
     labels: list[str]
-    score: float
     kept_heads: list[list[int]] | None = None
 
     def as_prediction(self) -> tuple[list[int], list[str]]:
@@ -107,8 +119,8 @@ class ParseResult:
 
 @dataclass
 class ForwardPass:
-    """Per-sentence graph artifacts: masked score matrix plus a closure
-    producing label logits for arbitrary (head, modifier) arcs."""
+    """Per-sentence graph artifacts: the raw arc score matrix plus a
+    closure producing label logits for arbitrary (head, modifier) arcs."""
 
     n: int
     scores: Tensor
@@ -159,14 +171,13 @@ class _ParserBase(Module):
             raise ValueError(f"unknown decoder {decoder!r}")
         with no_grad():
             fwd = self.forward_parse(sentence, vocab)
-            s = fwd.scores.data  # the decoders ignore the masked diagonal and root column
+            s = fwd.scores.data  # raw; the decoders ignore the diagonal and root column
             heads = eisner(s) if decoder == "eisner" else cle(s)
             arcs = [(heads[j - 1], j) for j in range(1, fwd.n + 1)]
             label_ids = fwd.label_logits_for(arcs).data.argmax(axis=1).tolist() if arcs else []
         labels = [vocab.label_name(i) for i in label_ids]
         kept = fwd.filter_output.kept_heads if fwd.filter_output is not None else None
-        return ParseResult(heads=heads, label_ids=label_ids, labels=labels,
-                           score=tree_score(s, heads), kept_heads=kept)
+        return ParseResult(heads=heads, label_ids=label_ids, labels=labels, kept_heads=kept)
 
 
 class LocModel(_ParserBase):
@@ -295,8 +306,14 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
                  if k in annotations and not _accepts(annotations[k], v)]
     if problems:
         raise ValueError(f"{path}: bad model config: {', '.join(problems)}")
-    cfg = ModelConfig(**stored)
-    vocab = Vocab.from_dict(vocab_data)
+    try:
+        cfg = ModelConfig(**stored)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad model config: {exc}") from None
+    try:
+        vocab = Vocab.from_dict(vocab_data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad vocab: {exc}") from None
     model = build_model(cfg, vocab, seed=0)
     model.load_state(state)
     return model, vocab, extra

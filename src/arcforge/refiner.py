@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import Linear, Module, ModuleList, glorot_uniform
+from .scorers import candidates, head_logits
 from .tensor import (
     Tensor,
     arc_expectation,
@@ -25,13 +26,11 @@ from .tensor import (
     layer_norm,
     matmul,
     multi_head_attention,
-    narrow,
     relu,
     reshape,
     row_scatter,
     softmax,
     straight_through,
-    transpose,
 )
 
 _attn_score_entries = 0
@@ -144,15 +143,15 @@ def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
                 gumbel_scale: float = 0.0, st_grad: bool = True) -> FilterOutput:
     """Keep the k highest-scoring head candidates for each modifier.
 
-    All modifiers are filtered at once on an (n, n+1) logit matrix whose
-    row j-1 holds modifier j's logits over heads 0..n, with -inf on the
-    cell where head equals modifier. A positive gumbel_scale adds
-    Gumbel(0,1) noise times that scale to the candidate cells, drawn from
-    rng in row-major order, before a row-wise softmax and a stable
-    row-wise sort. Ties break toward the smaller head index. With
-    st_grad, kept vectors are straight-through nodes whose backward path
-    is the probability-weighted expectation of the modifier's candidate
-    vectors; otherwise they are plain gathers.
+    All modifiers are filtered at once on the (n, n+1) ``head_logits``
+    matrix: row j-1 holds modifier j's logits over heads 0..n, -inf at
+    the self-loop. A positive gumbel_scale adds Gumbel(0,1) noise times
+    that scale to the candidate cells, drawn from rng in row-major order,
+    before a row-wise softmax and a stable row-wise sort. Ties break
+    toward the smaller head index. With st_grad, kept vectors are
+    straight-through nodes whose backward path is the
+    probability-weighted expectation of the modifier's candidate vectors;
+    otherwise they are plain gathers.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -160,19 +159,18 @@ def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
     if v0_flat.data.shape[0] != big_n * big_n:
         raise ValueError(f"arc grid has {v0_flat.data.shape[0]} rows, expected {big_n * big_n}")
     logits_all = filter_head(v0_flat)
-    by_mod = narrow(transpose(reshape(logits_all, (big_n, big_n))), 0, 1, n)
-    mods = np.arange(1, big_n)
-    candidate = np.ones((n, big_n), dtype=bool)
-    candidate[mods - 1, mods] = False
-    offset = np.where(candidate, 0.0, -np.inf)
+    lg = head_logits(reshape(logits_all, (big_n, big_n)), n)
+    candidate = candidates(n)
     if gumbel_scale > 0.0:
         if rng is None:
             raise ValueError("filter noise needs an rng")
-        offset[candidate] = rng.gumbel(size=n * n) * gumbel_scale
-    lg = by_mod + offset
+        noise = np.zeros((n, big_n))
+        noise[candidate] = rng.gumbel(size=n * n) * gumbel_scale
+        lg = lg + noise
     probs = softmax(lg, axis=-1)
     kept_count = min(k, n)
     kept = argsort_descending(lg.data)[:, :kept_count]  # -inf sorts last, so never kept
+    mods = np.arange(1, big_n)
     kept_flat = (kept * big_n + mods[:, None]).reshape(-1)
     kept_vectors = embedding_gather(v0_flat, kept_flat)
     if st_grad:

@@ -16,6 +16,7 @@ from .tensor import (
     Tensor,
     concat,
     matmul,
+    narrow,
     paired_bilinear,
     pairwise_bilinear,
     relu,
@@ -23,16 +24,18 @@ from .tensor import (
     transpose,
 )
 
-MASK_VALUE = -1e9
+
+def candidates(n: int) -> np.ndarray:
+    """(n, n+1) booleans: row j-1 is True at every head 0..n but j."""
+    return np.arange(n + 1) != np.arange(1, n + 1)[:, None]
 
 
-def apply_arc_mask(s: Tensor, n: int, neg: float = MASK_VALUE) -> Tensor:
-    """Set invalid cells (diagonal, arcs into root) to exactly ``neg``;
-    valid cells and their gradients pass through unchanged."""
-    keep = np.ones((n + 1, n + 1))
-    np.fill_diagonal(keep, 0.0)
-    keep[:, 0] = 0.0
-    return s * keep + (1.0 - keep) * neg
+def head_logits(grid: Tensor, n: int) -> Tensor:
+    """Row j-1: modifier j's logits over heads 0..n, read from column j of
+    a raw (n+1)x(n+1) arc score grid, with -inf at the self-loop. The one
+    place that excludes non-candidates; the grid's diagonal and column 0
+    (arcs into the root) get no gradient."""
+    return narrow(transpose(grid), 0, 1, n) + np.where(candidates(n), 0.0, -np.inf)
 
 
 def _ones_column(x: Tensor) -> Tensor:
@@ -62,12 +65,10 @@ class LocScorer(Module):
         self.label_weight = Tensor(glorot_uniform((ya, n_labels, ya), ya, ya, rng), requires_grad=True)
 
     def arc_score_matrix(self, h_arc: Tensor, m_arc: Tensor) -> Tensor:
-        """S[i, j] = h_i^T M m_j with the validity mask added (-1e9 on
-        the diagonal and on arcs into the root)."""
+        """Raw arc scores S[i, j] = h_i^T M m_j, shape (n+1, n+1)."""
         if self.biaffine_bias:
             h_arc, m_arc = _ones_column(h_arc), _ones_column(m_arc)
-        s = matmul(matmul(h_arc, self.arc_weight), transpose(m_arc))
-        return apply_arc_mask(s, s.data.shape[0] - 1)
+        return matmul(matmul(h_arc, self.arc_weight), transpose(m_arc))
 
     def label_logits(self, h_lab_rows: Tensor, m_lab_rows: Tensor) -> Tensor:
         """Label logits for row-aligned (head, modifier) pairs."""
@@ -114,6 +115,5 @@ class ArcScorer(Module):
         return self.label_out(relu(self.label_hidden(v_rows)))
 
     def score_matrix_from(self, v_flat: Tensor, n: int) -> Tensor:
-        """Masked (n+1)x(n+1) score matrix read from flat arc vectors."""
-        s = reshape(self.score_head(v_flat), (n + 1, n + 1))
-        return apply_arc_mask(s, n)
+        """Raw (n+1)x(n+1) score matrix read from flat arc vectors."""
+        return reshape(self.score_head(v_flat), (n + 1, n + 1))

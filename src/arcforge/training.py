@@ -11,9 +11,9 @@ import numpy as np
 
 from .conllu import Sentence, Vocab
 from .evaluation import PUNCT_POLICIES, filter_oracle_uas, uas_las
-from .model import DECODERS, _ParserBase
-from .scorers import apply_arc_mask
-from .tensor import Tensor, cross_entropy_from_logits, grad_check, narrow, reshape, transpose
+from .model import DECODERS, _check_range, _ParserBase
+from .scorers import head_logits
+from .tensor import Tensor, cross_entropy_from_logits, grad_check, reshape
 
 log = logging.getLogger("arcforge")
 
@@ -48,6 +48,10 @@ class TrainConfig:
             raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
         if self.punct_policy not in PUNCT_POLICIES:
             raise ValueError(f"punct_policy must be one of {PUNCT_POLICIES}, got {self.punct_policy!r}")
+        _check_range(self, "grad_clip lr swa_lr lr_transformer swa_lr_transformer",
+                     lambda v: v > 0, "> 0")
+        _check_range(self, "warmup_epochs warmup_epochs_transformer", lambda v: v >= 0, ">= 0")
+        _check_range(self, "max_train_len", lambda v: v >= 1, ">= 1")
 
     def resolved_lr(self, kind: str) -> float:
         return self.lr if self.lr is not None else DEFAULT_LR[kind]
@@ -62,7 +66,7 @@ class TrainConfig:
 def head_selection_loss(scores: Tensor, gold_heads: list[int]) -> Tensor:
     """Mean cross-entropy over modifiers of the per-column head softmax.
 
-    Expects the masked score matrix (diagonal and root column at -1e9).
+    Takes raw scores: what the diagonal and column 0 hold changes nothing.
     """
     n = scores.data.shape[0] - 1
     if len(gold_heads) != n:
@@ -72,8 +76,7 @@ def head_selection_loss(scores: Tensor, gold_heads: list[int]) -> Tensor:
             raise ValueError(f"gold head of token {j} is masked (self-loop)")
         if not 0 <= h <= n:
             raise ValueError(f"gold head {h} out of range")
-    logits = narrow(transpose(scores), 0, 1, n)  # row j-1: candidate heads of modifier j
-    return cross_entropy_from_logits(logits, gold_heads)
+    return cross_entropy_from_logits(head_logits(scores, n), gold_heads)
 
 
 def label_loss(logits: Tensor, gold_label_ids: list[int]) -> Tensor:
@@ -85,7 +88,7 @@ def sentence_loss(model: _ParserBase, sentence: Sentence, vocab: Vocab) -> Tenso
     """Head-selection loss plus label loss on the gold arcs, unit weights.
 
     When filter_aux_weight > 0 and the filter ran, a head-selection loss
-    over the raw filter logits is added with that weight.
+    over the noiseless filter logits is added with that weight.
     """
     fwd = model.forward_parse(sentence, vocab)
     heads = sentence.gold_heads
@@ -96,8 +99,8 @@ def sentence_loss(model: _ParserBase, sentence: Sentence, vocab: Vocab) -> Tenso
     aux_w = model.cfg.filter_aux_weight
     if aux_w > 0.0 and fwd.filter_output is not None:
         n = fwd.n
-        logit_matrix = apply_arc_mask(reshape(fwd.filter_output.logits_flat, (n + 1, n + 1)), n)
-        loss = loss + head_selection_loss(logit_matrix, heads) * aux_w
+        logits = reshape(fwd.filter_output.logits_flat, (n + 1, n + 1))
+        loss = loss + head_selection_loss(logits, heads) * aux_w
     return loss
 
 

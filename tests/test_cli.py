@@ -241,7 +241,13 @@ class TestTrainParseEvalPipeline:
         (lambda m: m["model"].update(use_upos="yes"), "bad model config: 'use_upos' must be bool, got \"yes\""),
         (lambda m: m.update(model=list(m["model"].items())), "model must be a JSON object"),
         (lambda m: m["vocab"].pop("label_to_id"), "vocab must be a JSON object holding objects"),
-    ], ids=["str-width", "float-k", "str-flag", "model-list", "no-label-table"])
+        (lambda m: m["model"].update(mlp_dropout=1.0), "bad model config: mlp_dropout must be in [0, 1), got 1.0"),
+        (lambda m: m["vocab"].update(label_to_id={k: i + 1000 for k, i in m["vocab"]["label_to_id"].items()}),
+         "bad vocab: label_to_id ids must be the ints 0.."),
+        (lambda m: m["vocab"].update(upos_to_id={k: i + 0.5 for k, i in m["vocab"]["upos_to_id"].items()}),
+         "bad vocab: upos_to_id ids must be the ints 2.."),
+    ], ids=["str-width", "float-k", "str-flag", "model-list", "no-label-table", "dropout-one",
+            "shifted-labels", "float-upos"])
     def test_bad_checkpoint_values_rejected(self, trained_toy, tmp_path, capsys, edit, message):
         model_path, _, dev_path, _ = trained_toy
         bad_path = save_with_meta(model_path, str(tmp_path / "bad.npz"), edit)

@@ -1,11 +1,36 @@
 """Run-config schema tests."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from arcforge.cli import main
 from arcforge.config import RunConfig, load_run_config
+from arcforge.model import ModelConfig
+from arcforge.training import TrainConfig
+
+NAN, INF = float("nan"), float("inf")
+
+# (key, value) pairs that each config must reject when it loads
+BAD_VALUES = [
+    ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", INF),
+    ("lr", -1.0), ("lr", 0.0), ("lr", NAN), ("swa_lr", -1e-6),
+    ("lr_transformer", NAN), ("lr_transformer", -2.5e-3), ("swa_lr_transformer", 0.0),
+    ("warmup_epochs", -2.0), ("warmup_epochs", INF), ("warmup_epochs_transformer", -0.5),
+    ("max_train_len", 0),
+    ("mlp_dropout", 1.0), ("mlp_dropout", -0.1), ("emb_dropout", -0.5), ("emb_dropout", NAN),
+    ("gumbel_scale", -1.0), ("gumbel_scale", INF), ("filter_aux_weight", -1.0),
+    ("x", 0), ("y", -1), ("d", 0), ("r", -2),
+]
+BAD_IDS = [f"{key}={value}" for key, value in BAD_VALUES]
+TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+
+
+def model_sizes(key):
+    """The sizes of a small model of the kind that ``key`` belongs to."""
+    return ("loc", {"x": 4, "y": 4}) if key in ("x", "y") else ("arcloc", {"d": 8, "r": 8})
 
 
 def write_cfg(tmp_path, data):
@@ -66,6 +91,41 @@ class TestLoad:
         assert cfg.lr == 1 and cfg.grad_clip is None and cfg.use_swa is False
         with pytest.raises(ValueError, match="epochs must be int, got null"):
             load_run_config(write_cfg(tmp_path, {"epochs": None}))
+
+
+class TestRanges:
+    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=BAD_IDS)
+    def test_bad_value_rejected_naming_the_key(self, key, value):
+        kind, sizes = model_sizes(key)
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            if key in TRAIN_KEYS:
+                TrainConfig(**{key: value})
+            else:
+                ModelConfig(kind=kind, n_labels=2, emb_dim=8, **{**sizes, key: value})
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=BAD_IDS)
+    def test_bad_value_fails_train_as_one_error_line(self, tmp_path, capsys, key, value):
+        kind, sizes = model_sizes(key)
+        corpus = tmp_path / "train.conllu"
+        corpus.write_text("1\tdogs\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+                          "2\trun\t_\tVERB\t_\t_\t0\troot\t_\t_\n", encoding="utf-8")
+        cfg = write_cfg(tmp_path, {
+            "model_kind": kind, **sizes, "emb_dim": 8, "context_layers": 0, "epochs": 1,
+            "use_swa": False, "train_file": str(corpus), "model_out": str(tmp_path / "m.npz"),
+            key: value})
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ")
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_boundary_values_accepted(self):
+        # the benchmark trains with no warmup; no clipping and per-kind rates are None
+        TrainConfig(warmup_epochs=0.0, warmup_epochs_transformer=0.0, grad_clip=None,
+                    lr=None, swa_lr=None, max_train_len=1)
+        ModelConfig(kind="arcloc", n_labels=2, emb_dim=8, d=1, r=2, mlp_dropout=0.0,
+                    emb_dropout=0.0, gumbel_scale=0.0, filter_aux_weight=0.0)
+        ModelConfig(kind="loc", n_labels=2, emb_dim=8, x=1, y=1, mlp_dropout=0.99)
 
 
 class TestMapping:

@@ -363,6 +363,14 @@ class TestWrite:
         with pytest.raises(ValueError):
             write_conllu(parse_conllu(TWO_TOKENS), predictions=[])
 
+    def test_every_sentence_ends_with_a_blank_line(self):
+        sents = parse_conllu(TWO_TOKENS + "\n" + TWO_TOKENS.replace("dog", "cat"))
+        out = write_conllu(sents)
+        assert out == TWO_TOKENS + "\n" + TWO_TOKENS.replace("dog", "cat") + "\n"
+        assert out.endswith("\n\n") and not out.endswith("\n\n\n")
+        assert [s.tokens for s in parse_conllu(out)] == [s.tokens for s in sents]
+        assert write_conllu([]) == ""
+
 
 class TestVocab:
     def _corpus(self):
@@ -404,6 +412,20 @@ class TestVocab:
     def test_bad_min_count(self):
         with pytest.raises(ValueError):
             build_vocab(self._corpus(), min_count=0)
+
+    @pytest.mark.parametrize("tables, message", [
+        ({"upos_to_id": {"N": 2.5}}, "upos_to_id ids must be the ints 2..2, each used once"),
+        ({"label_to_id": {"root": 1000}}, "label_to_id ids must be the ints 0..0, each used once"),
+        ({"form_to_id": {"a": "2"}}, "form_to_id ids must be the ints 2..2"),
+        ({"form_to_id": {"a": True}}, "form_to_id ids must be the ints 2..2"),
+        ({"form_to_id": {"a": 2, "b": 2}}, "form_to_id ids must be the ints 2..3"),
+        ({"label_to_id": {"root": 1, "dep": 2}}, "label_to_id ids must be the ints 0..1"),
+    ], ids=["float-upos", "shifted-label", "str-form", "bool-form", "repeated-form", "from-one"])
+    def test_ids_off_the_documented_layout_rejected(self, tables, message):
+        from arcforge.conllu import Vocab
+
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Vocab(**{"form_to_id": {}, "upos_to_id": {}, "label_to_id": {}, **tables})
 
     def test_dict_round_trip(self):
         from arcforge.conllu import Vocab

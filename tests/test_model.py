@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arcforge.conllu import Sentence, Token
-from arcforge.decoders import cle, is_projective, tree_score
+from arcforge.decoders import cle, is_projective
 from arcforge.model import (
     ArcLocModel,
     ModelConfig,
@@ -91,7 +91,7 @@ class TestPredict:
         model.eval()
         for decoder in ("eisner", "mst"):
             res = model.predict(Sentence([]), toy_vocab, decoder=decoder)
-            assert (res.heads, res.label_ids, res.labels, res.score) == ([], [], [], 0.0)
+            assert (res.heads, res.label_ids, res.labels) == ([], [], [])
 
     def test_unknown_decoder_rejected(self, toy_corpus, toy_vocab):
         model = build_model(arc_cfg(toy_vocab), toy_vocab, seed=2)
@@ -126,18 +126,8 @@ class TestPredict:
             fwd = model.forward_parse(sent, toy_vocab)
             assert fwd.scores.requires_grad
             assert res.heads == cle(fwd.scores.data)
-            assert res.score == tree_score(fwd.scores.data, res.heads)
             logits = fwd.label_logits_for([(h, j) for j, h in enumerate(res.heads, 1)]).data
             assert res.label_ids == [int(np.argmax(row)) for row in logits]
-
-    def test_score_is_tree_score(self, toy_corpus, toy_vocab):
-        model = build_model(arc_cfg(toy_vocab), toy_vocab, seed=4)
-        model.eval()
-        res = model.predict(toy_corpus[0][0], toy_vocab)
-        fwd = model.forward_parse(toy_corpus[0][0], toy_vocab)
-        s = fwd.scores.data
-        expected = sum(s[h, j] for j, h in enumerate(res.heads, start=1))
-        assert res.score == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("decoder", ["mst", "eisner"])
     def test_sentence_longer_than_max_train_len(self, toy_corpus, toy_vocab, decoder):

@@ -3,12 +3,28 @@
 import numpy as np
 import pytest
 
-from arcforge.scorers import MASK_VALUE, ArcScorer, LocScorer
+from arcforge.scorers import ArcScorer, LocScorer, candidates, head_logits
 from arcforge.tensor import Tensor, softmax
 
 
 def tt(a):
     return Tensor(np.asarray(a, dtype=np.float64), requires_grad=True)
+
+
+class TestHeadLogits:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_row_per_modifier_with_self_loop_at_minus_inf(self, n):
+        grid = np.arange((n + 1.0) ** 2).reshape(n + 1, n + 1)
+        out = head_logits(tt(grid), n).data
+        assert out.shape == (n, n + 1)
+        for j in range(1, n + 1):
+            for i in range(n + 1):
+                assert out[j - 1, i] == (-np.inf if i == j else grid[i, j])
+        assert np.array_equal(candidates(n), np.isfinite(out))
+
+    def test_keeps_float32(self):
+        grid = Tensor(np.ones((4, 4), dtype=np.float32), requires_grad=True)
+        assert head_logits(grid, 3).data.dtype == np.float32
 
 
 class TestLocScorer:
@@ -17,8 +33,7 @@ class TestLocScorer:
         scorer = LocScorer(x=1, y=1, n_labels=2, rng=rng)
         scorer.arc_weight.data[:] = [[1.0]]
         s = scorer.arc_score_matrix(tt([[9.0], [2.0]]), tt([[9.0], [3.0]]))
-        assert s.data[1, 1] == MASK_VALUE  # diagonal masked
-        # unmasked entry: 2 * 1 * 3 would sit at [1][j] but n=1 leaves only root row
+        assert s.data[1, 1] == 2.0 * 3.0  # raw: the scorer scores the self-loop too
         assert s.data[0, 1] == pytest.approx(9.0 * 3.0)
 
     def test_identity_weight_gives_dot_products(self):

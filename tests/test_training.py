@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcforge.conllu import Sentence, Token, build_vocab
 from arcforge.model import ModelConfig, build_model
-from arcforge.scorers import apply_arc_mask
 from arcforge.tensor import Tensor, grad_check
 from arcforge.training import (
     Adam,
@@ -30,11 +31,54 @@ def tt(a):
 
 
 def masked(raw):
-    n = raw.shape[0] - 1
-    return apply_arc_mask(tt(raw), n)
+    """``raw`` with -1e9 on the diagonal and in column 0, cells the loss
+    must read past."""
+    raw = np.array(raw, dtype=np.float64)
+    np.fill_diagonal(raw, -1e9)
+    raw[:, 0] = -1e9
+    return tt(raw)
+
+
+@st.composite
+def non_candidate_edits(draw):
+    """A raw score matrix, gold heads, the non-candidate cells (the
+    diagonal and column 0) and values to write there: arbitrary finite
+    floats, or the -1e9 of the old score mask."""
+    n = draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = (rng.normal(size=(n + 1, n + 1)) * draw(st.sampled_from([0.1, 1.0, 30.0]))).astype(dtype)
+    gold = [h + (h >= j) for j, h in enumerate(draw(st.lists(st.integers(0, n - 1),
+                                                             min_size=n, max_size=n)), start=1)]
+    cells = np.eye(n + 1, dtype=bool)
+    cells[:, 0] = True
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=np.finfo(dtype).bits)
+    fills = draw(st.one_of(st.just([-1e9] * (2 * n + 1)),
+                           st.lists(finite, min_size=2 * n + 1, max_size=2 * n + 1)))
+    return raw, gold, cells, np.asarray(fills, dtype=dtype)
+
+
+def loss_and_grad(raw, gold):
+    scores = Tensor(raw, requires_grad=True)
+    loss = head_selection_loss(scores, gold)
+    loss.backward()
+    return loss.data, scores.grad
 
 
 class TestHeadSelectionLoss:
+    @settings(max_examples=300, deadline=None)
+    @given(non_candidate_edits())
+    def test_non_candidate_cells_change_nothing(self, case):
+        raw, gold, cells, fills = case
+        loss, grad = loss_and_grad(raw, gold)
+        edited = raw.copy()
+        edited[cells] = fills
+        edited_loss, edited_grad = loss_and_grad(edited, gold)
+        assert edited_loss.dtype == edited_grad.dtype == raw.dtype
+        assert edited_loss.tobytes() == loss.tobytes()
+        assert edited_grad.tobytes() == grad.tobytes()
+        assert np.all(edited_grad[cells] == 0)
+
     def test_saturated_gold_entries(self):
         n = 3
         raw = np.zeros((n + 1, n + 1))
@@ -54,7 +98,7 @@ class TestHeadSelectionLoss:
         rng = np.random.default_rng(0)
         raw = tt(rng.normal(size=(5, 5)))
         gold = [0, 1, 2, 1]
-        err = grad_check(lambda: head_selection_loss(apply_arc_mask(raw, 4), gold), raw, eps=1e-5)
+        err = grad_check(lambda: head_selection_loss(raw, gold), raw, eps=1e-5)
         assert err < 1e-6
 
     def test_masked_gold_head_rejected(self):
