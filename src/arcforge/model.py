@@ -78,7 +78,7 @@ class ModelConfig:
             raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
         _check_range(self, "mlp_dropout emb_dropout", lambda v: 0 <= v < 1, "in [0, 1)")
         _check_range(self, "gumbel_scale filter_aux_weight", lambda v: v >= 0, ">= 0")
-        _check_range(self, "x y d r", lambda v: v >= 1, ">= 1")
+        _check_range(self, "context_heads x y d r", lambda v: v >= 1, ">= 1")
         if self.kind not in ("loc", "arcloc"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.n_labels < 1:
@@ -315,5 +315,8 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
     except ValueError as exc:
         raise ValueError(f"{path}: bad vocab: {exc}") from None
     model = build_model(cfg, vocab, seed=0)
-    model.load_state(state)
+    try:
+        model.load_state(state)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad parameters: {exc}") from None
     return model, vocab, extra

@@ -126,16 +126,14 @@ class TransformerLayer(Module):
 class FilterOutput:
     """Per-modifier kept head lists (most to least probable) plus the kept
     vectors as one sequence, aligned with kept_flat_idx into the flat
-    (n+1)^2 x r arc grid, modifier by modifier. probs[j-1] holds
-    modifier j's filter probabilities over heads 0..n without j.
-    logits_flat holds the noiseless filter logits for every arc cell (for
-    diagnostics and the optional auxiliary loss)."""
+    (n+1)^2 x r arc grid, modifier by modifier. logits is the noiseless
+    (n, n+1) ``head_logits`` matrix of filter scores, which the optional
+    auxiliary loss reads."""
 
     kept_heads: list[list[int]]
     kept_flat_idx: np.ndarray
-    kept_vectors: Tensor | None
-    probs: list[np.ndarray]
-    logits_flat: Tensor
+    kept_vectors: Tensor
+    logits: Tensor
 
 
 def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
@@ -147,27 +145,25 @@ def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
     matrix: row j-1 holds modifier j's logits over heads 0..n, -inf at
     the self-loop. A positive gumbel_scale adds Gumbel(0,1) noise times
     that scale to the candidate cells, drawn from rng in row-major order,
-    before a row-wise softmax and a stable row-wise sort. Ties break
-    toward the smaller head index. With st_grad, kept vectors are
-    straight-through nodes whose backward path is the
-    probability-weighted expectation of the modifier's candidate vectors;
-    otherwise they are plain gathers.
+    before a stable row-wise sort. Ties break toward the smaller head
+    index. With st_grad, kept vectors are straight-through nodes whose
+    backward path is the row-softmax-weighted expectation of the
+    modifier's candidate vectors; otherwise they are plain gathers and
+    no softmax runs.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     big_n = n + 1
     if v0_flat.data.shape[0] != big_n * big_n:
         raise ValueError(f"arc grid has {v0_flat.data.shape[0]} rows, expected {big_n * big_n}")
-    logits_all = filter_head(v0_flat)
-    lg = head_logits(reshape(logits_all, (big_n, big_n)), n)
-    candidate = candidates(n)
+    logits = head_logits(reshape(filter_head(v0_flat), (big_n, big_n)), n)
+    lg = logits
     if gumbel_scale > 0.0:
         if rng is None:
             raise ValueError("filter noise needs an rng")
         noise = np.zeros((n, big_n))
-        noise[candidate] = rng.gumbel(size=n * n) * gumbel_scale
+        noise[candidates(n)] = rng.gumbel(size=n * n) * gumbel_scale
         lg = lg + noise
-    probs = softmax(lg, axis=-1)
     kept_count = min(k, n)
     kept = argsort_descending(lg.data)[:, :kept_count]  # -inf sorts last, so never kept
     mods = np.arange(1, big_n)
@@ -175,28 +171,20 @@ def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
     kept_vectors = embedding_gather(v0_flat, kept_flat)
     if st_grad:
         # the zero probability on the diagonal drops the non-candidate V[j, j]
-        expectation = arc_expectation(probs, v0_flat)
+        expectation = arc_expectation(softmax(lg, axis=-1), v0_flat)
         kept_vectors = straight_through(
             kept_vectors, embedding_gather(expectation, np.repeat(mods - 1, kept_count)))
     return FilterOutput(
         kept_heads=kept.tolist(),
         kept_flat_idx=kept_flat,
         kept_vectors=kept_vectors,
-        probs=list(probs.data[candidate].reshape(n, n)),
-        logits_flat=logits_all,
+        logits=logits,
     )
 
 
-def refine(v0_flat: Tensor, filter_output: FilterOutput | None,
-           layers: ModuleList | list) -> Tensor:
-    """Pass kept arc vectors through the layers; discarded rows are final.
-
-    With no layers the input is returned unchanged (bitwise).
-    """
-    if layers is None or len(layers) == 0:
-        return v0_flat
-    if filter_output is None or filter_output.kept_vectors is None:
-        raise ValueError("refinement with layers requires a filter output")
+def refine(v0_flat: Tensor, filter_output: FilterOutput, layers: ModuleList | list) -> Tensor:
+    """Pass the filter's kept arc vectors through the layers; discarded
+    rows of v0_flat are final."""
     x = filter_output.kept_vectors
     for layer in layers:
         x = layer(x)

@@ -13,7 +13,7 @@ from .conllu import Sentence, Vocab
 from .evaluation import PUNCT_POLICIES, filter_oracle_uas, uas_las
 from .model import DECODERS, _check_range, _ParserBase
 from .scorers import head_logits
-from .tensor import Tensor, cross_entropy_from_logits, grad_check, reshape
+from .tensor import Tensor, cross_entropy_from_logits, grad_check
 
 log = logging.getLogger("arcforge")
 
@@ -50,7 +50,7 @@ class TrainConfig:
             raise ValueError(f"punct_policy must be one of {PUNCT_POLICIES}, got {self.punct_policy!r}")
         _check_range(self, "grad_clip lr swa_lr lr_transformer swa_lr_transformer",
                      lambda v: v > 0, "> 0")
-        _check_range(self, "warmup_epochs warmup_epochs_transformer", lambda v: v >= 0, ">= 0")
+        _check_range(self, "seed warmup_epochs warmup_epochs_transformer", lambda v: v >= 0, ">= 0")
         _check_range(self, "max_train_len", lambda v: v >= 1, ">= 1")
 
     def resolved_lr(self, kind: str) -> float:
@@ -98,9 +98,8 @@ def sentence_loss(model: _ParserBase, sentence: Sentence, vocab: Vocab) -> Tenso
     loss = loss + label_loss(fwd.label_logits_for(gold_arcs), gold_ids)
     aux_w = model.cfg.filter_aux_weight
     if aux_w > 0.0 and fwd.filter_output is not None:
-        n = fwd.n
-        logits = reshape(fwd.filter_output.logits_flat, (n + 1, n + 1))
-        loss = loss + head_selection_loss(logits, heads) * aux_w
+        # the gold heads were checked by head_selection_loss above
+        loss = loss + cross_entropy_from_logits(fwd.filter_output.logits, heads) * aux_w
     return loss
 
 
@@ -317,6 +316,9 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
           vocab: Vocab, cfg: TrainConfig, log_fn=None, early_stop_fn=None) -> TrainResult:
     """Token-budget batches, two Adam groups with separate warmup/SWA
     schedules, per-epoch dev evaluation, best-LAS checkpoint retention.
+    ``best_state`` is the evaluated state (the SWA average once SWA is
+    active) of the best dev-LAS epoch, or of the last epoch run when
+    there is no dev set.
 
     ``early_stop_fn(epoch, model)``, when given, is consulted after each
     epoch's evaluation and ends training when it returns True.
@@ -334,7 +336,7 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
     optimizer = Adam(model.optimizer_groups())
     swa = SwaState()
     shuffle_rng = np.random.default_rng(cfg.seed)
-    best_state, best_epoch, best_las = model.state_dict(), 0, None
+    best_state, best_epoch, best_las = None, 0, None
     metrics: list[dict] = []
 
     for epoch in range(1, cfg.epochs + 1):
@@ -367,8 +369,8 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
 
         swa_active = cfg.use_swa and epoch >= cfg.swa_start_epoch
         if swa_active:
-            swa.update(model.state_dict())
             raw_state = model.state_dict()
+            swa.update(raw_state)
             model.load_state(swa.finalize())
         if dev_sents:
             dev = evaluate_model(model, dev_sents, vocab,
@@ -392,11 +394,10 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
         metrics.append(row)
         if log_fn is not None:
             log_fn(row)
-        if dev["las"] is not None and (best_las is None or dev["las"] > best_las):
+        # without a dev set best_las stays None, so every epoch's state replaces the last
+        if best_las is None or dev["las"] > best_las:
             best_las, best_epoch, best_state = dev["las"], epoch, eval_state
         if early_stop_fn is not None and early_stop_fn(epoch, model):
             break
-    if best_epoch == 0:
-        best_state, best_epoch = model.state_dict(), cfg.epochs
     return TrainResult(best_state=best_state, best_epoch=best_epoch,
                        best_las=best_las, metrics=metrics)

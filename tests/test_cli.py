@@ -242,12 +242,13 @@ class TestTrainParseEvalPipeline:
         (lambda m: m.update(model=list(m["model"].items())), "model must be a JSON object"),
         (lambda m: m["vocab"].pop("label_to_id"), "vocab must be a JSON object holding objects"),
         (lambda m: m["model"].update(mlp_dropout=1.0), "bad model config: mlp_dropout must be in [0, 1), got 1.0"),
+        (lambda m: m["model"].update(context_heads=0), "bad model config: context_heads must be >= 1, got 0"),
         (lambda m: m["vocab"].update(label_to_id={k: i + 1000 for k, i in m["vocab"]["label_to_id"].items()}),
          "bad vocab: label_to_id ids must be the ints 0.."),
         (lambda m: m["vocab"].update(upos_to_id={k: i + 0.5 for k, i in m["vocab"]["upos_to_id"].items()}),
          "bad vocab: upos_to_id ids must be the ints 2.."),
     ], ids=["str-width", "float-k", "str-flag", "model-list", "no-label-table", "dropout-one",
-            "shifted-labels", "float-upos"])
+            "zero-heads", "shifted-labels", "float-upos"])
     def test_bad_checkpoint_values_rejected(self, trained_toy, tmp_path, capsys, edit, message):
         model_path, _, dev_path, _ = trained_toy
         bad_path = save_with_meta(model_path, str(tmp_path / "bad.npz"), edit)
@@ -257,19 +258,35 @@ class TestTrainParseEvalPipeline:
         assert err.startswith(f"error: {bad_path}: {message}")
         assert err.count("error:") == 1 and err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("foreign", ["truncated", "conllu", "no-vocab", "no-model"])
+    @pytest.mark.parametrize("foreign", ["truncated", "conllu", "no-vocab", "no-model",
+                                         "renamed-param", "reshaped-param"])
     def test_file_that_is_no_checkpoint_fails_parse(self, trained_toy, tmp_path, capsys, foreign):
         model_path, _, dev_path, _ = trained_toy
         bad_path = dev_path
+        message = "not an arcforge checkpoint"
         if foreign == "truncated":
             bad_path = str(tmp_path / "cut.npz")
             Path(bad_path).write_bytes(Path(model_path).read_bytes()[:3000])
         elif foreign.startswith("no-"):
             key = foreign[len("no-"):]
             bad_path = save_with_meta(model_path, str(tmp_path / "bad.npz"), lambda m: m.pop(key))
+        elif foreign.endswith("-param"):
+            with np.load(model_path) as z:
+                arrays = {key: z[key] for key in z.files}
+            weight = arrays.pop("param:scorer.arc_tensor")
+            if foreign == "renamed-param":
+                arrays["param:scorer.arc_weight"] = weight
+                message = ("bad parameters: state mismatch: missing ['scorer.arc_tensor'], "
+                           "unexpected ['scorer.arc_weight']")
+            else:
+                arrays["param:scorer.arc_tensor"] = weight[:-1]
+                message = ("bad parameters: shape mismatch for scorer.arc_tensor: "
+                           "(31, 32, 32) vs (32, 32, 32)")
+            bad_path = str(tmp_path / "bad.npz")
+            np.savez(bad_path, **arrays)
         assert main(["parse", "--model", bad_path, "--input", dev_path,
                      "--output", str(tmp_path / "x.conllu")]) == 1
-        assert capsys.readouterr().err == f"error: {bad_path}: not an arcforge checkpoint\n"
+        assert capsys.readouterr().err == f"error: {bad_path}: {message}\n"
 
     @pytest.mark.parametrize("decoder", ["mst", "eisner"])
     def test_nan_score_weight_fails_parse(self, trained_toy, tmp_path, capsys, decoder):

@@ -1,15 +1,23 @@
 """Run-config schema tests."""
 
 import json
+import math
+import re
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcforge.cli import main
 from arcforge.config import RunConfig, load_run_config
-from arcforge.model import ModelConfig
-from arcforge.training import TrainConfig
+from arcforge.decoders import is_projective
+from arcforge.model import DECODERS, ModelConfig, build_model, load_checkpoint, save_checkpoint
+from arcforge.training import TrainConfig, train
+from treeoracle import is_single_root_tree
 
 NAN, INF = float("nan"), float("inf")
 
@@ -22,7 +30,8 @@ BAD_VALUES = [
     ("max_train_len", 0),
     ("mlp_dropout", 1.0), ("mlp_dropout", -0.1), ("emb_dropout", -0.5), ("emb_dropout", NAN),
     ("gumbel_scale", -1.0), ("gumbel_scale", INF), ("filter_aux_weight", -1.0),
-    ("x", 0), ("y", -1), ("d", 0), ("r", -2),
+    ("x", 0), ("y", -1), ("d", 0), ("r", -2), ("context_heads", 0), ("context_heads", -4),
+    ("seed", -1),
 ]
 BAD_IDS = [f"{key}={value}" for key, value in BAD_VALUES]
 TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
@@ -207,3 +216,77 @@ class TestFloat32Mode:
         x = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError, match="64-bit"):
             T.grad_check(lambda: T.tsum(x * x), x)
+
+
+# Small values that every ModelConfig and TrainConfig field may take (a
+# loc model takes no refinement layers), and values out of each field's
+# range or at odds with the others; a drawn config takes the former and
+# then up to two of the latter. n_labels comes from the corpus.
+IN_RANGE = {
+    "kind": ["loc", "arcloc"], "emb_dim": [2, 3, 4, 8], "context_layers": [0, 1, 2],
+    "context_heads": [None, 1, 2], "x": [1, 3], "y": [1, 2], "d": [1, 4], "r": [2, 4],
+    "layers": [0, 1, 2], "k": [1, 2, 10], "mlp_dropout": [0.0, 0.5], "emb_dropout": [0.0, 0.3],
+    "use_upos": [False, True], "exact_counts": [False, True], "biaffine_bias": [False, True],
+    "gumbel_scale": [0.0, 1.0], "filter_aux_weight": [0.0, 0.5], "dtype": ["float64", "float32"],
+    "epochs": [1], "batch_tokens": [1, 8, 5000], "lr": [None, 1e-3], "lr_transformer": [1e-3],
+    "warmup_epochs": [0.0, 0.5], "warmup_epochs_transformer": [0.0, 3.0], "use_swa": [False, True],
+    "swa_start_epoch": [1, 2], "swa_lr": [None, 1e-4], "swa_lr_transformer": [1e-4],
+    "seed": [0, 5], "grad_clip": [None, 1.0], "max_train_len": [5, 128], "decoder": list(DECODERS),
+    "punct_policy": ["keep", "upos", "pos-set"],
+}
+OUT_OF_RANGE = [
+    ("kind", "crf"), ("n_labels", 0), ("emb_dim", 1), ("context_layers", -1),
+    ("context_heads", 0), ("context_heads", -4), ("x", None), ("y", 0), ("d", None), ("r", 3),
+    ("r", -2), ("layers", -1), ("layers", 2), ("k", 0), ("mlp_dropout", 1.0), ("emb_dropout", NAN),
+    ("gumbel_scale", -1.0), ("filter_aux_weight", INF), ("dtype", "float16"), ("epochs", 0),
+    ("batch_tokens", 0), ("lr", 0.0), ("lr_transformer", NAN), ("warmup_epochs", -1.0),
+    ("warmup_epochs_transformer", INF), ("swa_start_epoch", 0), ("swa_start_epoch", 3),
+    ("swa_lr", -1e-4), ("swa_lr_transformer", 0.0), ("seed", -1),
+    ("grad_clip", 0.0), ("max_train_len", 0), ("decoder", "chart"), ("punct_policy", "none"),
+]
+CONFIG_FIELDS = {f.name for f in fields(ModelConfig) + fields(TrainConfig)}
+
+
+@st.composite
+def any_config(draw):
+    values = {key: draw(st.sampled_from(choices)) for key, choices in IN_RANGE.items()}
+    if values["kind"] == "loc":
+        values["layers"] = 0
+    values.update(draw(st.lists(st.sampled_from(OUT_OF_RANGE), max_size=2)))
+    return values
+
+
+class TestAnyConfig:
+    def test_every_field_is_drawn(self):
+        assert set(IN_RANGE) == CONFIG_FIELDS - {"n_labels"}
+        flags = {"use_upos", "exact_counts", "biaffine_bias", "use_swa"}  # no value out of range
+        assert {key for key, _ in OUT_OF_RANGE} == CONFIG_FIELDS - flags
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_config())
+    def test_accepted_configs_train_and_parse_rejected_ones_name_a_field(
+            self, toy_corpus, toy_vocab, values):
+        sents = [s for s in toy_corpus[0] if len(s) <= 5][:4]
+        try:
+            mcfg = ModelConfig(**{"n_labels": toy_vocab.n_labels,
+                                  **{k: v for k, v in values.items() if k not in TRAIN_KEYS}})
+            tcfg = TrainConfig(**{k: v for k, v in values.items() if k in TRAIN_KEYS})
+        except ValueError as exc:
+            assert any(re.search(rf"\b{key}\b", str(exc)) for key in CONFIG_FIELDS), exc
+            return
+        model = build_model(mcfg, toy_vocab, seed=tcfg.seed)
+        res = train(model, sents, sents[:2], toy_vocab, tcfg)
+        assert len(res.metrics) == 1 and math.isfinite(res.metrics[0]["train_loss"])
+        model.load_state(res.best_state)
+        model.eval()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.npz"
+            save_checkpoint(path, model, toy_vocab)
+            loaded, _, _ = load_checkpoint(path)
+        loaded.eval()
+        for decoder in DECODERS:
+            for sent in sents:
+                parsed = model.predict(sent, toy_vocab, decoder=decoder)
+                assert is_single_root_tree(parsed.heads)
+                assert decoder != "eisner" or is_projective(parsed.heads)
+                assert loaded.predict(sent, toy_vocab, decoder=decoder) == parsed

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcforge import refiner
+from arcforge.model import ModelConfig, build_model
 from arcforge.nn import Linear
 from arcforge.refiner import (
     FilterOutput,
@@ -72,18 +74,19 @@ def reference_filter_topk(v0_flat, filter_head, n, k, rng=None, gumbel_scale=0.0
     """The per-modifier loop that filter_topk replaces, kept as its oracle."""
     big_n = n + 1
     logits_all = filter_head(v0_flat)
-    kept_heads, kept_vecs, kept_flat, probs_out = [], [], [], []
+    kept_heads, kept_vecs, kept_flat = [], [], []
+    logits_out = np.full((n, big_n), -np.inf)
     for j in range(1, big_n):
         valid = [i for i in range(big_n) if i != j]
         idx = [i * big_n + j for i in valid]
         lg = reshape(embedding_gather(logits_all, idx), (len(valid),))
+        logits_out[j - 1, valid] = lg.data
         if gumbel_scale > 0.0:
             lg = lg + Tensor(rng.gumbel(size=len(valid)) * gumbel_scale)
         probs = softmax(lg)
         order = argsort_descending(lg.data)
         heads_j = [valid[o] for o in order[:min(k, len(valid))]]
         kept_heads.append(heads_j)
-        probs_out.append(probs.data.copy())
         expectation = None
         if st_grad:
             rows = embedding_gather(v0_flat, idx)
@@ -94,8 +97,7 @@ def reference_filter_topk(v0_flat, filter_head, n, k, rng=None, gumbel_scale=0.0
             kept_flat.append(h * big_n + j)
     return FilterOutput(
         kept_heads=kept_heads, kept_flat_idx=np.asarray(kept_flat, dtype=np.intp),
-        kept_vectors=concat(kept_vecs, axis=0) if kept_vecs else None,
-        probs=probs_out, logits_flat=logits_all,
+        kept_vectors=concat(kept_vecs, axis=0), logits=Tensor(logits_out),
     )
 
 
@@ -154,10 +156,7 @@ class TestFilterAgainstReference:
         assert got.kept_flat_idx.dtype == ref.kept_flat_idx.dtype
         assert np.array_equal(got.kept_flat_idx, ref.kept_flat_idx)
         assert np.array_equal(got.kept_vectors.data, ref.kept_vectors.data)
-        assert len(got.probs) == len(ref.probs) == n
-        for p_got, p_ref in zip(got.probs, ref.probs):
-            assert p_got.shape == p_ref.shape
-            assert np.max(np.abs(p_got - p_ref)) <= 1e-12
+        assert np.array_equal(got.logits.data, ref.logits.data)  # noiseless, -inf at j
         for g_got, g_ref in zip(got_grads, ref_grads):
             _assert_rel_close(g_got, g_ref, 1e-10)
 
@@ -244,6 +243,24 @@ class TestFilterTopk:
             expected[idx[a]] = k * p[a] + k * w * p[a] * (row_sums[a] - e_sum)
         denom = np.maximum(1.0, np.maximum(np.abs(got), np.abs(expected)))
         assert np.max(np.abs(got - expected) / denom) < 1e-6
+
+    def test_no_softmax_without_straight_through(self, toy_corpus, toy_vocab, monkeypatch):
+        # the straight-through expectation is the softmax's only reader
+        def no_softmax(*args, **kwargs):
+            raise AssertionError("softmax called")
+
+        monkeypatch.setattr(refiner, "softmax", no_softmax)
+        v0, head = make_filter_fixture(n=4, seed=9)
+        assert len(filter_topk(v0, head, n=4, k=2, st_grad=False).kept_heads) == 4
+        with pytest.raises(AssertionError, match="softmax called"):
+            filter_topk(v0, head, n=4, k=2, st_grad=True)
+        cfg = ModelConfig(kind="arcloc", n_labels=toy_vocab.n_labels, emb_dim=16,
+                          context_layers=0, d=8, r=8, layers=1, k=2)
+        model = build_model(cfg, toy_vocab, seed=0)
+        model.eval()
+        sentence = toy_corpus[1][0]
+        res = model.predict(sentence, toy_vocab, decoder="mst")
+        assert len(res.heads) == len(res.kept_heads) == len(sentence)
 
     def test_plain_gather_mode_routes_gradient_to_selected_rows(self):
         v0, head = make_filter_fixture(n=3, seed=8)
@@ -490,10 +507,6 @@ class TestMultiHeadAttention:
 
 
 class TestRefine:
-    def test_no_layers_bitwise_identity(self):
-        v0 = tt(np.random.default_rng(6).normal(size=(16, 4)))
-        assert refine(v0, None, []) is v0
-
     def test_zero_weight_layers_preserve_v0(self):
         rng = np.random.default_rng(7)
         v0, head = make_filter_fixture(n=3, r=4, seed=7)
@@ -533,9 +546,3 @@ class TestRefine:
         direct = layer(embedding_gather(v0, canonical)).data
         for row, flat in enumerate(canonical):
             assert np.allclose(refined.data[flat], direct[row], atol=1e-10)
-
-    def test_layers_require_filter_output(self):
-        v0 = tt(np.random.default_rng(10).normal(size=(16, 4)))
-        layer = TransformerLayer(4, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="filter"):
-            refine(v0, None, [layer])

@@ -372,6 +372,34 @@ class TestTrainLoop:
                     TrainConfig(epochs=50, lr=1e-3, use_swa=False, seed=0),
                     early_stop_fn=lambda epoch, m: epoch >= 2)
         assert len(res.metrics) == 2
+        # without a dev set the last epoch run is the one kept
+        res = train(model, toy_corpus[0], [], toy_vocab,
+                    TrainConfig(epochs=10, lr=1e-3, use_swa=False, seed=0),
+                    early_stop_fn=lambda epoch, m: epoch >= 2)
+        assert len(res.metrics) == 2 and res.best_epoch == 2 and res.best_las is None
+        assert all(np.array_equal(res.best_state[name], p.data)
+                   for name, p in model.named_parameters())
+
+    def test_no_dev_set_keeps_the_swa_average(self, toy_corpus, toy_vocab, monkeypatch):
+        import arcforge.training as tr
+
+        snaps = []
+        orig_update = tr.SwaState.update
+
+        def spy_update(self, state):
+            snaps.append({k: v.copy() for k, v in state.items()})
+            orig_update(self, state)
+
+        monkeypatch.setattr(tr.SwaState, "update", spy_update)
+        model = build_model(toy_model_config(toy_vocab), toy_vocab, seed=0)
+        res = tr.train(model, toy_corpus[0], [], toy_vocab,
+                       TrainConfig(epochs=3, lr=1e-3, use_swa=True, swa_start_epoch=2,
+                                   swa_lr=1e-4, seed=0))
+        assert len(snaps) == 2 and res.best_epoch == 3 and res.best_las is None
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, snaps[1][name])  # the model keeps the raw weights
+            assert np.array_equal(res.best_state[name], (snaps[0][name] + snaps[1][name]) / 2)
+        assert any(not np.array_equal(res.best_state[k], snaps[1][k]) for k in snaps[1])
 
     def test_skipped_steps_and_grad_norm_per_epoch(self, toy_corpus, toy_vocab, monkeypatch):
         import arcforge.training as tr
