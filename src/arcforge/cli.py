@@ -21,7 +21,10 @@ from .training import end_to_end_grad_check, formula_param_count, train
 
 def _read_conllu_file(path) -> list[Sentence]:
     with open(path, encoding="utf-8") as fh:
-        return parse_conllu(fh.read())
+        try:
+            return parse_conllu(fh.read())
+        except ValueError as exc:  # malformed CoNLL-U, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_train(args) -> int:
@@ -97,7 +100,7 @@ def cmd_params(args) -> int:
                   file=sys.stderr)
             return 1
         if formula != registry:
-            print("MISMATCH", file=sys.stderr)
+            print("error: the formula and registry counts differ", file=sys.stderr)
             return 1
         print("OK")
     return 0
@@ -132,7 +135,10 @@ def cmd_gradcheck(args) -> int:
                                 coords_per_param=4, rng=rng, kinks=kinks)
     print(f"skipped {len(kinks)} coordinates at kinks")
     print(f"max relative error: {err:.3e}")
-    return 0 if err < 1e-5 else 1
+    if not err < 1e-5:
+        print(f"error: max relative error {err:.3e} is not below 1e-05", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:

@@ -63,7 +63,10 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     """Read a flat JSON config; reject unknown keys and values of the
     wrong JSON type; apply overrides."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(data) - set(_FIELD_TYPES))

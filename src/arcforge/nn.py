@@ -82,7 +82,10 @@ class Module:
             extra = sorted(set(state) - set(own))
             raise ValueError(f"state mismatch: missing {missing}, unexpected {extra}")
         for name, p in own.items():
-            arr = np.asarray(state[name], dtype=p.data.dtype)
+            arr = np.asarray(state[name])
+            if arr.dtype.kind != "f":
+                raise ValueError(f"{name} holds {arr.dtype}, not floats")
+            arr = arr.astype(p.data.dtype, copy=False)
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
             p.data = arr.copy()

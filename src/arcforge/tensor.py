@@ -3,11 +3,15 @@
 Values live in numpy arrays; every differentiable operation hands its
 backward closure and parents to ``Tensor._from_op``, which records them
 when some parent needs a gradient, and ``Tensor.backward()`` replays the
-tape in reverse topological order. A closure takes its output's gradient
-as an argument and holds no reference to the output, so a graph has no
-reference cycle and is freed as soon as its last tensor is dropped,
-without waiting for the cycle collector. Inside ``no_grad()`` nothing
-is recorded, which is how prediction runs. The engine is deliberately
+tape in reverse topological order. The replay consumes the graph: once a
+node's closure has run, the node drops it, with every array it saved,
+and its parent links, so an intermediate the caller does not hold is
+freed, with its value and gradient, before the sweep reaches its
+parents. A closure takes its output's gradient as an argument and holds
+no reference to the output, so a graph has no reference cycle and is
+freed without waiting for the cycle collector, also when it is dropped
+without a backward pass. Inside ``no_grad()`` nothing is recorded,
+which is how prediction runs. The engine is deliberately
 small: just the operations the parsing models need, each one
 gradient-checked.
 
@@ -75,6 +79,11 @@ def _accum(t: "Tensor", g: np.ndarray) -> None:
         t.grad += g
 
 
+def _consumed(g: np.ndarray) -> None:
+    """The closure of a node once ``backward()`` has run and dropped its own."""
+    raise RuntimeError("backward() through a graph that an earlier backward() consumed")
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
@@ -122,6 +131,17 @@ class Tensor:
     # -- autodiff core -----------------------------------------------
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(x) into ``x.grad`` for every tensor ``x``
+        the graph reaches, and consume the graph on the way.
+
+        Each node's closure runs once, after every gradient into the node
+        has landed (reverse DFS post-order, so sums keep one order); then
+        the node drops its closure, with the arrays the closure saved, and
+        its parent links. Leaves and the interior tensors the caller holds
+        keep their ``.grad``; an interior tensor nobody holds is freed as
+        the sweep passes it. A later backward that reaches a consumed node
+        raises ``RuntimeError`` before it changes any gradient.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -134,15 +154,21 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                _consumed(node.grad)  # raises
             visited.add(id(node))
             stack.append((node, True))
             for p in node._prev:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._prev = _consumed, ()
 
     # -- operator sugar ----------------------------------------------
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,6 +344,7 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
         model.train()
         batches = make_batches(usable, cfg.batch_tokens, shuffle_rng)
         loss_sum, token_sum = 0.0, 0
+        epoch_start = time.perf_counter()
         skipped_steps, norms = 0, []
         for b, batch in enumerate(batches):
             progress = (epoch - 1) + b / len(batches)
@@ -365,6 +367,7 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
                 norms.append(clip_gradients(model.parameters(), cfg.grad_clip))
             if not optimizer.step(lrs):
                 skipped_steps += 1
+        tokens_per_s = token_sum / (time.perf_counter() - epoch_start)
         train_loss = loss_sum / token_sum if token_sum else float("nan")
 
         swa_active = cfg.use_swa and epoch >= cfg.swa_start_epoch
@@ -390,6 +393,7 @@ def train(model: _ParserBase, train_sents: list[Sentence], dev_sents: list[Sente
             "skipped_steps": skipped_steps,
             # np.max, unlike max(), keeps a NaN norm
             "grad_norm": float(np.max(norms)) if norms else None,
+            "tokens_per_s": tokens_per_s,  # wall clock of the batch loop; dev evaluation left out
         }
         metrics.append(row)
         if log_fn is not None:

@@ -28,6 +28,7 @@ from arcforge.training import (
     train,
 )
 from test_tensor import _gradcheck_cases
+from test_training import run_swa_and_check_means
 from toygrammar import make_corpus
 from treeoracle import brute_force_best_tree
 
@@ -254,7 +255,7 @@ def test_criterion_8_evaluation_protocol():
     report(8, "UAS/LAS and punctuation policies match hand computation to 0.01")
 
 
-def test_criterion_9_swa_exact_mean(toy_corpus, toy_vocab):
+def test_criterion_9_swa_exact_mean(toy_corpus, toy_vocab, monkeypatch):
     rng = np.random.default_rng(5)
     snaps = [{"w": rng.normal(size=(6, 4)), "b": rng.normal(size=3)} for _ in range(5)]
     swa = SwaState()
@@ -264,31 +265,14 @@ def test_criterion_9_swa_exact_mean(toy_corpus, toy_vocab):
     for key in ("w", "b"):
         direct = sum(s[key] for s in snaps) / 5.0
         assert np.max(np.abs(avg[key] - direct)) < 1e-12
-    # integrated: the evaluated checkpoint after swa_start is the running mean
-    import arcforge.training as tr
-
-    recorded = []
-    orig = tr.SwaState.update
-
-    def spy(self, state):
-        recorded.append({k: v.copy() for k, v in state.items()})
-        orig(self, state)
-
+    # integrated: every SWA epoch evaluates the running mean, and the
+    # kept checkpoint is the state evaluated at the best epoch
     cfg = ModelConfig(kind="arcloc", n_labels=toy_vocab.n_labels, emb_dim=16,
                       context_layers=0, d=8, r=8, mlp_dropout=0.0)
     model = build_model(cfg, toy_vocab, seed=2)
-    tr.SwaState.update = spy
-    try:
-        res = train(model, toy_corpus[0], toy_corpus[1], toy_vocab,
-                    TrainConfig(epochs=6, lr=1e-3, use_swa=True, swa_start_epoch=5,
-                                swa_lr=1e-4, seed=2))
-    finally:
-        tr.SwaState.update = orig
-    assert len(recorded) == 2  # epoch-end snapshots 5 and 6
-    if res.best_epoch == 6:
-        mean = {k: (recorded[0][k] + recorded[1][k]) / 2.0 for k in recorded[0]}
-        for k in mean:
-            assert np.max(np.abs(res.best_state[k] - mean[k])) < 1e-12
+    run_swa_and_check_means(monkeypatch, model, toy_corpus, toy_vocab,
+                            TrainConfig(epochs=6, lr=1e-3, use_swa=True, swa_start_epoch=5,
+                                        swa_lr=1e-4, seed=2))
     report(9, "averaged parameters equal the arithmetic snapshot mean to 1e-12")
 
 

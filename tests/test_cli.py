@@ -1,12 +1,19 @@
 """CLI tests: command contracts and the train/parse/eval pipeline."""
 
+import contextlib
+import io
 import json
+import math
+import os
 import re
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcforge import encoder, refiner, scorers
 from arcforge import tensor as T
@@ -42,6 +49,10 @@ def metrics_rows(model_path):
         return [json.loads(line) for line in fh]
 
 
+def without_wall_clock(rows):
+    return [{k: v for k, v in row.items() if k != "tokens_per_s"} for row in rows]
+
+
 class TestEvalCommand:
     def test_identical_files_are_perfect(self, tmp_path, capsys):
         gold = write(tmp_path / "gold.conllu", GOLD)
@@ -62,6 +73,22 @@ class TestEvalCommand:
         gold = write(tmp_path / "gold.conllu", GOLD)
         pred = write(tmp_path / "pred.conllu", GOLD + "\n" + GOLD)
         assert main(["eval", "--gold", gold, "--pred", pred]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        (GOLD.replace("\t2\tnsubj", "\t7\tnsubj"), "line 1: HEAD 7 out of range for a 2-token sentence"),
+        ("1\tdogs\n", "line 1: expected at least 8 columns, got 2"),
+    ], ids=["head", "columns"])
+    def test_malformed_file_is_named(self, tmp_path, capsys, text, message):
+        gold = write(tmp_path / "gold.conllu", GOLD)
+        pred = write(tmp_path / "pred.conllu", text)
+        assert main(["eval", "--gold", gold, "--pred", pred]) == 1
+        assert capsys.readouterr().err == f"error: {pred}: {message}\n"
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        gold = write(tmp_path / "gold.conllu", GOLD)
+        (tmp_path / "pred.conllu").write_bytes(b"\xff" + GOLD.encode())
+        assert main(["eval", "--gold", gold, "--pred", str(tmp_path / "pred.conllu")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'pred.conllu'}: 'utf-8' codec")
 
 
 class TestParamsCommand:
@@ -98,6 +125,23 @@ class TestParamsCommand:
         }))
         assert main(["params", "--config", cfg]) == 1
         assert capsys.readouterr().err == "error: config needs train_file or n_labels\n"
+
+    def test_count_mismatch_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("arcforge.cli.formula_param_count", lambda *args, **kwargs: 0)
+        cfg = write(tmp_path / "cfg.json", json.dumps({
+            "model_kind": "arcloc", "emb_dim": 1024, "context_layers": 0,
+            "d": 2, "r": 2, "exact_counts": True, "n_labels": 1,
+        }))
+        assert main(["params", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: the formula and registry counts differ\n"
+
+    @pytest.mark.parametrize("text", ['{"model_kind": "loc",', b'\xff{}'], ids=["cut", "not-utf8"])
+    def test_config_that_is_not_json_is_named(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["params", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json", json.dumps({"model_kind": "loc", "mystery": 1}))
@@ -148,7 +192,9 @@ class TestGradcheckCommand:
         cfg = write(tmp_path / "cfg.json", json.dumps(self.KINK))
         for seed in (3, 4):
             assert main(["gradcheck", "--config", cfg, "--seed", str(seed)]) == 1
-            assert float(capsys.readouterr().out.split(":")[1]) > 1e-3
+            out, err = capsys.readouterr()
+            assert float(out.split(":")[1]) > 1e-3
+            assert re.fullmatch(r"error: max relative error \S+ is not below 1e-05\n", err)
 
     def test_float32_config_is_one_error_line(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json", json.dumps({**self.KINK, "dtype": "float32"}))
@@ -202,7 +248,8 @@ class TestTrainParseEvalPipeline:
         assert len(rows) == 60
         for row in rows[:3]:
             assert set(row) == {"epoch", "train_loss", "dev_uas", "dev_las", "filter_oracle",
-                                "skipped_steps", "grad_norm"}
+                                "skipped_steps", "grad_norm", "tokens_per_s"}
+            assert 0 < row["tokens_per_s"] < math.inf
 
     def test_overfit_pipeline_reaches_99_uas(self, trained_toy, tmp_path, capsys):
         model_path, train_path, _, _ = trained_toy
@@ -259,7 +306,7 @@ class TestTrainParseEvalPipeline:
         assert err.count("error:") == 1 and err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("foreign", ["truncated", "conllu", "no-vocab", "no-model",
-                                         "renamed-param", "reshaped-param"])
+                                         "renamed-param", "reshaped-param", "complex-param", "int-param"])
     def test_file_that_is_no_checkpoint_fails_parse(self, trained_toy, tmp_path, capsys, foreign):
         model_path, _, dev_path, _ = trained_toy
         bad_path = dev_path
@@ -278,10 +325,14 @@ class TestTrainParseEvalPipeline:
                 arrays["param:scorer.arc_weight"] = weight
                 message = ("bad parameters: state mismatch: missing ['scorer.arc_tensor'], "
                            "unexpected ['scorer.arc_weight']")
-            else:
+            elif foreign == "reshaped-param":
                 arrays["param:scorer.arc_tensor"] = weight[:-1]
                 message = ("bad parameters: shape mismatch for scorer.arc_tensor: "
                            "(31, 32, 32) vs (32, 32, 32)")
+            else:
+                kind = {"complex-param": np.complex128, "int-param": np.int32}[foreign]
+                arrays["param:scorer.arc_tensor"] = weight.astype(kind)
+                message = f"bad parameters: scorer.arc_tensor holds {np.dtype(kind)}, not floats"
             bad_path = str(tmp_path / "bad.npz")
             np.savez(bad_path, **arrays)
         assert main(["parse", "--model", bad_path, "--input", dev_path,
@@ -318,7 +369,7 @@ class TestTrainParseEvalPipeline:
         b = main(["train", "--config", str(cfg), "--seed", "7"])
         rows_b = metrics_rows(model_path)
         assert a == b == 0
-        assert rows_a == rows_b
+        assert without_wall_clock(rows_a) == without_wall_clock(rows_b)
 
 
 class TestTrainCommand:
@@ -392,3 +443,179 @@ def test_readme_config_table_lists_every_key():
             key_column = re.sub(r"\([^)]*\)", "", row.split("|")[1])  # drop "(default)" notes
             documented.update(re.findall(r"`(\w+)`", key_column))
     assert documented == {f.name for f in fields(RunConfig)}
+
+
+# -- every exit path: mutated configs, checkpoints and CoNLL-U --------------
+
+NAN, INF = float("nan"), float("inf")
+# a small run every mutated config starts from
+FUZZ_RUN = {"model_kind": "arcloc", "emb_dim": 8, "context_layers": 1, "d": 4, "r": 4,
+            "layers": 1, "k": 2, "epochs": 1, "lr": 1e-3, "use_swa": False, "seed": 1}
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3),
+    st.sampled_from([-1.0, 0.0, 0.5, 2.0, NAN, INF]),
+    st.sampled_from(["", "arcloc", "loc", "float32", "mst", "upos", "x\x00"]),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.just("a"), st.integers(0, 1), max_size=1),
+)
+CONLLU_FIELDS = ["", "_", "0", "-1", "1", "99", "2.5", "1-2", "1.1", "x", "root", "PUNCT", " "]
+CONLLU_LINES = ["# comment", "", "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_", "1.1\tx\t_\tX\t_\t_\t_\t_\t_\t_",
+                "garbage", "1\tx", "1 dogs _ NOUN _ _ 0 root _ _"]
+
+
+@pytest.fixture(scope="session")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    train, dev = make_corpus(8, 4, seed=3)
+    files = {"train": root / "train.conllu", "dev": root / "dev.conllu", "dir": root,
+             "missing": root / "missing.conllu", "empty": root / "empty.conllu",
+             "model": root / "m.npz", "config": root / "run.json", "array": root / "array.npz"}
+    files["train"].write_text(write_conllu(train), encoding="utf-8")
+    files["dev"].write_text(write_conllu(dev), encoding="utf-8")
+    files["empty"].write_text("", encoding="utf-8")
+    np.savez(files["array"], x=np.zeros(3))
+    files["config"].write_text(json.dumps({**FUZZ_RUN, "train_file": str(files["train"]),
+                                           "model_out": str(files["model"])}), encoding="utf-8")
+    assert main(["train", "--config", str(files["config"])]) == 0
+    return files
+
+
+def mutated_conllu(data, text: str) -> bytes:
+    lines = text.split("\n")
+    not_utf8 = False
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["drop", "repeat", "field", "insert", "cut", "crlf", "bytes"]))
+        i = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "drop" and lines:
+            del lines[i]
+        elif op == "repeat" and lines:
+            lines.insert(i, lines[i])
+        elif op == "field" and lines:
+            cols = lines[i].split("\t")
+            cols[data.draw(st.integers(0, len(cols) - 1))] = data.draw(st.sampled_from(CONLLU_FIELDS))
+            lines[i] = "\t".join(cols)
+        elif op == "insert":
+            lines.insert(i, data.draw(st.sampled_from(CONLLU_LINES)))
+        elif op == "cut":
+            joined = "\n".join(lines)
+            lines = joined[:data.draw(st.integers(0, len(joined)))].split("\n")
+        elif op == "crlf":
+            lines = [line + "\r" for line in lines]
+        elif op == "bytes":
+            not_utf8 = True
+    raw = "\n".join(lines).encode("utf-8")
+    if not_utf8:
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+def mutated_config(data, files, out_dir: Path) -> bytes:
+    run = {**FUZZ_RUN, "train_file": str(files["train"]), "dev_file": str(files["dev"]),
+           "model_out": str(out_dir / "out.npz")}
+    keys = sorted(f.name for f in fields(RunConfig)) + ["bogus"]
+    # outputs stay inside out_dir, so no run overwrites a shared file
+    (out_dir / "sub").mkdir()
+    (out_dir / "in.conllu").write_bytes(mutated_conllu(data, files["train"].read_text(encoding="utf-8")))
+    paths = {"_file": [str(files[k]) for k in ("train", "dev", "model", "dir", "missing", "empty")]
+             + [str(out_dir / "in.conllu")],
+             "_out": [str(out_dir / p) for p in ("sub", "no/m.npz", "m2.npz")]}
+    for _ in range(data.draw(st.integers(0, 3))):
+        key = data.draw(st.sampled_from(keys))
+        if data.draw(st.booleans()):
+            run.pop(key, None)
+        elif key.endswith(tuple(paths)) and data.draw(st.booleans()):
+            run[key] = data.draw(st.sampled_from(paths[key[key.rindex("_"):]]))
+        else:
+            run[key] = data.draw(JSON_VALUES)
+    text = json.dumps(run)
+    form = data.draw(st.sampled_from(["object"] * 6 + ["cut", "array", "bytes"]))
+    if form == "cut":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    elif form == "array":
+        text = json.dumps(list(run.items()))
+    raw = text.encode("utf-8")
+    return b"\xff" + raw if form == "bytes" else raw
+
+
+def mutated_checkpoint(data, files, path: Path) -> str:
+    form = data.draw(st.sampled_from(["intact", "cut", "foreign", "meta", "param"]))
+    if form == "foreign":
+        return str(files[data.draw(st.sampled_from(["train", "config", "empty", "dir", "missing", "array"]))])
+    raw = files["model"].read_bytes()
+    if form == "cut":
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        return str(path)
+    if form == "intact":
+        return str(files["model"])
+    with np.load(files["model"]) as z:
+        arrays = {key: z[key] for key in z.files}
+    if form == "meta":
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        owner = meta
+        key = data.draw(st.sampled_from(sorted(meta)))
+        if isinstance(meta[key], dict) and meta[key] and data.draw(st.booleans()):
+            owner, key = meta[key], data.draw(st.sampled_from(sorted(meta[key])))
+        if data.draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = data.draw(JSON_VALUES)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    else:
+        key = data.draw(st.sampled_from(sorted(k for k in arrays if k.startswith("param:"))))
+        arr = arrays.pop(key)
+        op = data.draw(st.sampled_from(["drop", "rename", "cut", "scalar", "nan", "int", "bool",
+                                        "complex", "str", "float32"]))
+        if op != "drop":
+            arrays[key + "x" if op == "rename" else key] = {
+                "rename": arr, "cut": arr.reshape(-1)[:-1], "scalar": np.float64(1.0),
+                "nan": np.full_like(arr, NAN), "int": arr.astype(np.int32), "bool": arr > 0,
+                "complex": arr + 1j, "str": arr.astype(str), "float32": arr.astype(np.float32),
+            }[op]
+    np.savez(path, **arrays)
+    return str(path)
+
+
+@contextlib.contextmanager
+def inside(directory):
+    """Run the block in ``directory``: a mutated config may name its
+    outputs relative to the working directory (contextlib.chdir needs
+    Python 3.11)."""
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+class TestEveryExitPath:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_exits_0_or_1_with_one_error_line(self, fuzz_files, data):
+        with tempfile.TemporaryDirectory() as tmp, inside(tmp):
+            out_dir = Path(tmp)
+            command = data.draw(st.sampled_from(["train", "params", "gradcheck", "parse", "eval"]))
+            if command in ("train", "params", "gradcheck"):
+                (out_dir / "run.json").write_bytes(mutated_config(data, fuzz_files, out_dir))
+                argv = [command, "--config", "run.json"]
+            else:
+                dev = fuzz_files["dev"].read_text(encoding="utf-8")
+                (out_dir / "in.conllu").write_bytes(mutated_conllu(data, dev))
+                if command == "parse":
+                    argv = ["parse", "--model", mutated_checkpoint(data, fuzz_files, out_dir / "m.npz"),
+                            "--input", "in.conllu", "--output", "out.conllu",
+                            "--decoder", data.draw(st.sampled_from(["eisner", "mst"]))]
+                else:
+                    argv = ["eval", "--gold", "in.conllu", "--pred", str(fuzz_files["dev"])]
+                    if data.draw(st.booleans()):
+                        argv = ["eval", "--gold", str(fuzz_files["dev"]), "--pred", "in.conllu"]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        err = stderr.getvalue()
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1, err

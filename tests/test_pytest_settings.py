@@ -1,6 +1,8 @@
 """The repository's pytest settings keep a run going past a failed
-property test."""
+property test, and let a checkout run its suite without an install."""
 
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +34,12 @@ def test_failed_hypothesis_test_does_not_abort_the_run(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
     assert "INTERNALERROR" not in run.stdout + run.stderr
+
+
+def test_checkout_collects_without_pythonpath():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"],
+        cwd=PYPROJECT.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert re.fullmatch(r"\d+ tests collected in [\d.]+s", run.stdout.splitlines()[-1]), run.stdout

@@ -4,6 +4,7 @@ import gc
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcforge import tensor as T
+from arcforge.conllu import Sentence, Token, Vocab
+from arcforge.model import ModelConfig, build_model
 from arcforge.tensor import Tensor, grad_check
+from arcforge.training import sentence_loss
 
 
 def tt(arr, grad=True):
@@ -385,6 +389,94 @@ class TestGradientBookkeeping:
     def test_gradient_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="gradient shape"):
             T._accum(tt(np.zeros(3)), np.zeros((1, 3)))
+
+
+def _random_tree_sentence(rng: np.random.Generator, n: int, vocab: Vocab) -> Sentence:
+    """n words with a random single-root tree: each word attaches to one
+    attached before it, in a random order."""
+    order = rng.permutation(np.arange(1, n + 1))
+    heads = [0] * (n + 1)
+    for pos, tok in enumerate(order[1:], start=1):
+        heads[tok] = int(order[rng.integers(pos)])
+    labels = sorted(vocab.label_to_id)
+    return Sentence([Token(form=str(rng.choice(sorted(vocab.form_to_id))),
+                           upos=str(rng.choice(sorted(vocab.upos_to_id))),
+                           gold_head=heads[i],
+                           gold_label="root" if heads[i] == 0 else labels[1 + int(rng.integers(len(labels) - 1))])
+                     for i in range(1, n + 1)])
+
+
+class TestBackwardConsumesGraph:
+    def test_second_backward_raises(self):
+        x = tt([1.0, 2.0])
+        loss = T.tsum(x * x)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        assert x.grad.tolist() == [2.0, 4.0]
+
+    def test_new_loss_over_a_consumed_node_raises_before_any_gradient(self):
+        x, w = tt([1.0, 2.0]), tt([3.0, 5.0])
+        y = x * x
+        T.tsum(y).backward()
+        loss = T.tsum(y * w)
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        assert w.grad is None and x.grad.tolist() == [2.0, 4.0]
+
+    def test_held_interior_tensor_keeps_its_gradient(self):
+        x = tt([0.5, -1.0, 2.0])
+        y = x * x
+        loss = T.tsum(y * y)
+        loss.backward()
+        assert y.grad.tolist() == [0.5, 2.0, 8.0]  # 2 y
+        assert x.grad.tolist() == [0.5, -4.0, 32.0]  # 4 x^3
+        assert loss.grad.tolist() == 1.0
+        assert y._prev == () and loss._prev == ()
+
+    def test_unheld_intermediate_freed_before_backward_returns(self):
+        x = tt(np.ones(3))
+        gc.disable()
+        try:
+            y = T.softmax(x * x)
+            probe = weakref.ref(y.data)
+            loss = T.tsum(y * y)
+            del y
+            loss.backward()
+            assert probe() is None
+            assert loss.item() == pytest.approx(1 / 3)
+        finally:
+            gc.enable()
+
+    def test_arcloc_training_step_holds_only_parameter_gradients(self):
+        # the benchmark's arcloc shape at its median sentence length; before
+        # backward consumed its graph, the step peaked at 1.8x the forward
+        # pass's live memory and then held 8x the parameter gradients (the
+        # whole graph, until the loss was dropped); now 1.1x and 1.03x
+        vocab = Vocab(form_to_id={f"w{i}": i + 2 for i in range(50)},
+                      upos_to_id={u: i + 2 for i, u in enumerate(("NOUN", "VERB", "ADJ", "DET"))},
+                      label_to_id={lab: i for i, lab in enumerate(("root", "nsubj", "obj", "amod"))})
+        cfg = ModelConfig(kind="arcloc", n_labels=vocab.n_labels, emb_dim=64, context_layers=1,
+                          d=32, r=32, k=10, layers=2)
+        model = build_model(cfg, vocab, seed=6)
+        sentence = _random_tree_sentence(np.random.default_rng(18), 18, vocab)
+        model.train()
+        for _ in range(2):  # the first step fills the position-table cache
+            model.zero_grad()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                loss = sentence_loss(model, sentence, vocab)
+                forward = tracemalloc.get_traced_memory()[0] - base
+                loss.backward()
+                held, peak = (m - base for m in tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+            del loss
+        grads = sum(p.grad.nbytes for p in model.parameters() if p.grad is not None)
+        assert peak <= 1.25 * forward
+        assert grads <= held <= 1.05 * grads
 
 
 class TestGradCheckHarness:

@@ -279,6 +279,38 @@ def toy_model_config(vocab, kind="arcloc", **overrides):
     return ModelConfig(**base)
 
 
+def run_swa_and_check_means(monkeypatch, model, corpus, vocab, cfg: TrainConfig):
+    """Train with SWA, recording every parameter snapshot SWA takes and
+    every state the dev evaluation sees. Each SWA epoch must evaluate
+    the mean of the snapshots taken so far, and ``best_state`` must be
+    the state evaluated at ``best_epoch``."""
+    import arcforge.training as tr
+
+    snaps, evaluated = [], []
+    update, evaluate = tr.SwaState.update, tr.evaluate_model
+
+    def spy_update(self, state):
+        snaps.append({k: v.copy() for k, v in state.items()})
+        update(self, state)
+
+    def spy_evaluate(model, *args, **kwargs):
+        evaluated.append(model.state_dict())
+        return evaluate(model, *args, **kwargs)
+
+    monkeypatch.setattr(tr.SwaState, "update", spy_update)
+    monkeypatch.setattr(tr, "evaluate_model", spy_evaluate)
+    res = tr.train(model, corpus[0], corpus[1], vocab, cfg)
+    assert len(evaluated) == cfg.epochs
+    assert len(snaps) == cfg.epochs - cfg.swa_start_epoch + 1
+    for taken, state in enumerate(evaluated[cfg.swa_start_epoch - 1:], start=1):
+        for k, v in state.items():
+            mean = sum(snap[k] for snap in snaps[:taken]) / taken
+            assert np.max(np.abs(v - mean)) < 1e-12, (taken, k)
+    best = evaluated[res.best_epoch - 1]
+    assert res.best_state.keys() == best.keys()
+    assert all(np.array_equal(res.best_state[k], v) for k, v in best.items())
+
+
 class TestTrainLoop:
     def test_best_checkpoint_selection_scripted(self, toy_corpus, toy_vocab, monkeypatch):
         las_script = iter([50.0, 80.0, 60.0, 80.0])
@@ -302,7 +334,7 @@ class TestTrainLoop:
             model = build_model(toy_model_config(toy_vocab, layers=1, k=4), toy_vocab, seed=5)
             res = train(model, toy_corpus[0], toy_corpus[1], toy_vocab,
                         TrainConfig(epochs=3, lr=1e-3, use_swa=False, seed=5))
-            runs.append(res.metrics)
+            runs.append([{k: v for k, v in row.items() if k != "tokens_per_s"} for row in res.metrics])
         assert runs[0] == runs[1]
 
     def test_loss_decreases_over_five_epochs_default_config(self, toy_corpus, toy_vocab):
@@ -313,33 +345,11 @@ class TestTrainLoop:
             losses = [r["train_loss"] for r in res.metrics]
             assert losses[4] < losses[0]
 
-    def test_swa_checkpoint_is_epoch_mean(self, toy_corpus, toy_vocab):
-        cfg = toy_model_config(toy_vocab)
-        model = build_model(cfg, toy_vocab, seed=0)
-        snaps = []
-
-        import arcforge.training as tr
-
-        orig_update = tr.SwaState.update
-
-        def spy_update(self, state):
-            snaps.append({k: v.copy() for k, v in state.items()})
-            orig_update(self, state)
-
-        tr.SwaState.update = spy_update
-        try:
-            res = train(model, toy_corpus[0], toy_corpus[1], toy_vocab,
-                        TrainConfig(epochs=4, lr=1e-3, use_swa=True, swa_start_epoch=3,
-                                    swa_lr=1e-4, seed=0))
-        finally:
-            tr.SwaState.update = orig_update
-        assert len(snaps) == 2  # epochs 3 and 4
-        final_eval_state = res.metrics  # metrics only; verify via best_state when epoch 4 best
-        mean = {k: (snaps[0][k] + snaps[1][k]) / 2.0 for k in snaps[0]}
-        # the epoch-4 evaluated checkpoint must be the running mean
-        if res.best_epoch == 4:
-            for k in mean:
-                assert np.max(np.abs(res.best_state[k] - mean[k])) < 1e-12
+    def test_swa_checkpoint_is_epoch_mean(self, toy_corpus, toy_vocab, monkeypatch):
+        model = build_model(toy_model_config(toy_vocab), toy_vocab, seed=0)
+        run_swa_and_check_means(monkeypatch, model, toy_corpus, toy_vocab,
+                                TrainConfig(epochs=4, lr=1e-3, use_swa=True, swa_start_epoch=3,
+                                            swa_lr=1e-4, seed=0))
 
     def test_empty_corpus_rejected(self, toy_vocab):
         model = build_model(toy_model_config(toy_vocab), toy_vocab, seed=0)
