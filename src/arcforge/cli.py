@@ -37,9 +37,19 @@ def cmd_train(args) -> int:
     vocab = build_vocab(train_sents, min_count=cfg.min_count)
     model = build_model(cfg.model_config(vocab.n_labels), vocab, seed=cfg.seed)
     metrics_path = cfg.metrics_out or cfg.model_out + ".metrics.jsonl"
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        result = train(model, train_sents, dev_sents, vocab, cfg.train_config(),
-                       log_fn=lambda row: fh.write(json.dumps(row) + "\n"))
+    fh = None  # opened on the first row, so a run that fails train's checks keeps an earlier log
+
+    def log_row(row):
+        nonlocal fh
+        if fh is None:
+            fh = open(metrics_path, "w", encoding="utf-8")
+        fh.write(json.dumps(row) + "\n")
+
+    try:
+        result = train(model, train_sents, dev_sents, vocab, cfg.train_config(), log_fn=log_row)
+    finally:
+        if fh is not None:
+            fh.close()
     model.load_state(result.best_state)
     save_checkpoint(cfg.model_out, model, vocab,
                     extra={"best_epoch": result.best_epoch, "best_las": result.best_las})

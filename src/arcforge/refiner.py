@@ -22,11 +22,9 @@ from .tensor import (
     Tensor,
     arc_expectation,
     argsort_descending,
+    attention_sublayer,
     embedding_gather,
-    layer_norm,
-    matmul,
-    multi_head_attention,
-    relu,
+    ffn_sublayer,
     reshape,
     row_scatter,
     softmax,
@@ -63,14 +61,14 @@ def num_heads(r: int) -> int:
 
 
 class LayerNorm(Module):
+    """A layer norm's affine terms, ``gain`` and ``bias`` (both None
+    without them); the sublayer nodes of ``TransformerLayer`` apply them."""
+
     def __init__(self, width: int, affine: bool = True):
         super().__init__()
         self.width = width
         self.gain = Tensor(np.ones(width), requires_grad=True) if affine else None
         self.bias = Tensor(np.zeros(width), requires_grad=True) if affine else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias)
 
 
 class TransformerLayer(Module):
@@ -81,6 +79,8 @@ class TransformerLayer(Module):
     r x r projection, the FFN has no biases, and layer norms have no
     affine terms. Without the flag it is the standard layer with
     separate Q/K/V/output projections, biases, and layer-norm affines.
+    Each sublayer is one autodiff node (``attention_sublayer``,
+    ``ffn_sublayer``).
     """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator,
@@ -103,23 +103,17 @@ class TransformerLayer(Module):
         self.ffn_in = Linear(width, 4 * width, rng, bias=not exact_counts)
         self.ffn_out = Linear(4 * width, width, rng, bias=not exact_counts)
 
-    def _attention(self, y: Tensor) -> Tensor:
-        global _attn_score_entries
-        if self.exact_counts:
-            q = k = y
-            v = matmul(y, self.w_value)
-        else:
-            q, k, v = self.w_query(y), self.w_key(y), self.w_value_proj(y)
-        t = y.data.shape[0]
-        _attn_score_entries += self.heads * t * t
-        mixed = multi_head_attention(q, k, v, self.heads)
-        if not self.exact_counts:
-            mixed = self.w_out(mixed)
-        return mixed
-
     def forward(self, x: Tensor) -> Tensor:
-        x = x + self._attention(self.norm_attn(x))
-        return x + self.ffn_out(relu(self.ffn_in(self.norm_ffn(x))))
+        global _attn_score_entries
+        _attn_score_entries += self.heads * x.data.shape[0] ** 2
+        if self.exact_counts:
+            projections = (None, None, (self.w_value, None), None)
+        else:
+            projections = tuple((lin.weight, lin.bias)
+                                for lin in (self.w_query, self.w_key, self.w_value_proj, self.w_out))
+        x = attention_sublayer(x, self.norm_attn.gain, self.norm_attn.bias, *projections, self.heads)
+        return ffn_sublayer(x, self.norm_ffn.gain, self.norm_ffn.bias,
+                            (self.ffn_in.weight, self.ffn_in.bias), (self.ffn_out.weight, self.ffn_out.bias))
 
 
 @dataclass

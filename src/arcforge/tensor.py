@@ -15,6 +15,13 @@ which is how prediction runs. The engine is deliberately
 small: just the operations the parsing models need, each one
 gradient-checked.
 
+Each pre-norm transformer sublayer is one node (``attention_sublayer``,
+``ffn_sublayer``). It runs the numpy bodies that its chain of elementary
+ops runs, shared with those ops, so its values and gradients are bitwise
+the chain's, and it keeps fewer arrays for backward than the chain. No
+attention node keeps a t x t array: backward rebuilds each head's scores
+from the saved row maxima, trading a second score pass for memory.
+
 An op's output, and any constant it lifts, takes its operands' dtype,
 float32 or float64.
 
@@ -277,26 +284,41 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
 # -- linear algebra ---------------------------------------------------
 
 
+def _data(t: Tensor | None) -> np.ndarray | None:
+    return None if t is None else t.data
+
+
+def _linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    if x.ndim != 2 or w.ndim != 2:
+        raise ValueError(f"matmul expects 2-D operands, got {x.shape} @ {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {x.shape} @ {w.shape}")
+    y = x @ w
+    return y if b is None else y + b
+
+
+def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None,
+                     need_x: bool = True) -> np.ndarray | None:
+    """Accumulate the gradients of ``w`` and ``b`` in ``x @ w (+ b)``;
+    return the gradient of ``x`` when ``need_x``."""
+    if w.requires_grad:
+        _accum(w, x.T @ g)
+    if b is not None and b.requires_grad:
+        _accum(b, _unbroadcast(g, b.data.shape))
+    return g @ w.data.T if need_x else None
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w (+ b)`` as one node, so the product before the bias is not
     kept until backward. Values and gradients are bitwise those of
     ``add(matmul(x, w), b)``."""
     x, w = _lift(x, w), _lift(w, x)
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {x.data.shape} @ {w.data.shape}")
-    if x.data.shape[1] != w.data.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {x.data.shape} @ {w.data.shape}")
-    y = x.data @ w.data
-    if b is not None:
-        y = y + b.data
+    y = _linear_forward(x.data, w.data, _data(b))
 
     def _bw(g):
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g)
-        if b is not None and b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        gx = _linear_backward(g, x.data, w, b, need_x=x.requires_grad)
+        if gx is not None:
+            _accum(x, gx)
 
     return Tensor._from_op(y, (x, w) if b is None else (x, w, b), _bw)
 
@@ -380,6 +402,79 @@ def arc_expectation(probs: Tensor, v_flat: Tensor) -> Tensor:
     return Tensor._from_op((probs.data[:, None, :] @ by_mod)[:, 0, :], (probs, v_flat), _bw)
 
 
+def _attention_scale(dk: int, dtype) -> np.ndarray:
+    return np.asarray(1.0 / math.sqrt(dk), dtype=dtype)
+
+
+def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                       saved: list | None) -> np.ndarray:
+    """Every head's softmax(q_h @ k_h.T / sqrt(dk)) @ v_h, with the late
+    normalization ``multi_head_attention`` describes. One t x t scratch
+    array serves every head. When ``saved`` is a list, each head appends
+    what ``_attention_backward`` reads: the scaled q block, k's block
+    transposed, v's block, and the row maxima m and row sums s of its
+    exponentiated scores."""
+    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ValueError(f"attention expects equal 2-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    t, width = q.shape
+    if heads < 1 or width % heads:
+        raise ValueError(f"head count {heads} does not divide width {width}")
+    dk = width // heads
+    scale = _attention_scale(dk, q.dtype)
+    out = np.empty((t, width), dtype=np.result_type(q, v))
+    e = np.empty((t, t), dtype=np.result_type(q, k))
+    for h in range(heads):
+        sl = slice(h * dk, (h + 1) * dk)
+        # contiguous copies: BLAS rounds strided views differently
+        qh, kt, vh = q[:, sl] * scale, k[:, sl].T.copy(), v[:, sl].copy()
+        np.matmul(qh, kt, out=e)
+        m = e.max(axis=-1, keepdims=True)
+        if np.isneginf(m).any():
+            raise ValueError("softmax over a fully masked (all -inf) slice")
+        e -= m
+        np.exp(e, out=e)
+        s = e.sum(axis=-1, keepdims=True)
+        oh = e @ vh
+        oh /= s
+        out[:, sl] = oh
+        if saved is not None:
+            saved.append((qh, kt, vh, m, s))
+    return out
+
+
+def _attention_backward(g: np.ndarray, out: np.ndarray, saved: list,
+                        need: tuple[bool, bool, bool]) -> list[np.ndarray | None]:
+    """Gradients of q, k and v (None where ``need`` is false) for output
+    gradient ``g``, given the forward's ``out`` and ``saved``. Each head
+    rebuilds its exponentiated scores with the forward's own calls, so
+    they are bitwise the forward's."""
+    t, width = g.shape
+    qh, kt, vh = saved[0][:3]  # of q's, k's and v's dtype
+    dk = qh.shape[1]
+    scale = _attention_scale(dk, qh.dtype)
+    grads = [np.empty((t, width), dtype=a.dtype) if want else None
+             for a, want in zip((qh, kt, vh), need)]
+    gq, gk, gv = grads
+    e = np.empty((t, t), dtype=np.result_type(qh, kt))
+    p = np.empty((t, t), dtype=np.result_type(g, e, vh))
+    for h, (qh, kt, vh, m, s) in enumerate(saved):
+        sl = slice(h * dk, (h + 1) * dk)
+        np.matmul(qh, kt, out=e)
+        e -= m
+        np.exp(e, out=e)
+        gh = g[:, sl] / s  # a contiguous copy: BLAS rounds strided views differently
+        if gv is not None:
+            gv[:, sl] = e.T @ gh
+        np.matmul(gh, vh.T, out=p)  # softmax backward, into e's buffer
+        p -= np.sum(gh * out[:, sl], axis=-1, keepdims=True)
+        e *= p
+        if gq is not None:
+            gq[:, sl] = (e @ kt.T) * scale
+        if gk is not None:
+            gk[:, sl] = (qh.T @ e).T
+    return grads
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Scaled dot-product attention of every head, as one node:
     out[:, h] = softmax(q[:, h] @ k[:, h].T / sqrt(dk)) @ v[:, h], where
@@ -391,51 +486,19 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     pass scales or divides the t x t scores. Backward takes the softmax's
     row term as rowsum(dO * O), a t x dk product. Each head multiplies
     contiguous copies of its column blocks, because BLAS rounds strided
-    views differently. Per-head arrays (e, s and the head's output among
-    them) are kept for backward only while a graph is recorded; otherwise
-    one head's t x t scores are alive at a time. Raises if a score row is
-    entirely -inf.
+    views differently. No t x t array outlives a call: while a graph is
+    recorded, each head keeps only its t x dk blocks and its row maxima m
+    and row sums s, and backward rebuilds e from them one head at a time
+    with the forward's own calls (the recomputation of FlashAttention and
+    of gradient checkpointing, Chen et al. 2016), so the rebuilt e is
+    bitwise the forward's. Raises if a score row is entirely -inf.
     """
-    if q.data.ndim != 2 or q.data.shape != k.data.shape or q.data.shape != v.data.shape:
-        raise ValueError(f"attention expects equal 2-D q, k, v, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
-    t, width = q.data.shape
-    if heads < 1 or width % heads:
-        raise ValueError(f"head count {heads} does not divide width {width}")
-    dk = width // heads
-    scale = np.asarray(1.0 / math.sqrt(dk), dtype=q.data.dtype)
-    blocks = [slice(h * dk, (h + 1) * dk) for h in range(heads)]
     saved = [] if _recorded((q, k, v)) else None
-    out = np.empty((t, width), dtype=np.result_type(q.data, v.data))
-    for sl in blocks:
-        qh, kt, vh = q.data[:, sl] * scale, k.data[:, sl].T.copy(), v.data[:, sl].copy()
-        e = qh @ kt
-        m = e.max(axis=-1, keepdims=True)
-        if np.isneginf(m).any():
-            raise ValueError("softmax over a fully masked (all -inf) slice")
-        e -= m
-        np.exp(e, out=e)
-        s = e.sum(axis=-1, keepdims=True)
-        oh = e @ vh
-        oh /= s
-        out[:, sl] = oh
-        if saved is not None:
-            saved.append((qh, kt, vh, e, s, oh))
-        del e  # before the next head's scores are allocated
+    out = _attention_forward(q.data, k.data, v.data, heads, saved)
 
     def _bw(g):
-        gq, gk, gv = (np.zeros_like(x.data) if x.requires_grad else None for x in (q, k, v))
-        for sl, (qh, kt, vh, e, s, oh) in zip(blocks, saved):
-            gh = g[:, sl] / s  # a contiguous copy: BLAS rounds strided views differently
-            if gv is not None:
-                gv[:, sl] = e.T @ gh
-            gs = gh @ vh.T  # softmax backward, in place
-            gs -= np.sum(gh * oh, axis=-1, keepdims=True)
-            gs *= e
-            if gq is not None:
-                gq[:, sl] = (gs @ kt.T) * scale
-            if gk is not None:
-                gk[:, sl] = (qh.T @ gs).T
-        for x, gx in ((q, gq), (k, gk), (v, gv)):
+        grads = _attention_backward(g, out, saved, tuple(x.requires_grad for x in (q, k, v)))
+        for x, gx in zip((q, k, v), grads):
             if gx is not None:
                 _accum(x, gx)
 
@@ -556,34 +619,109 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(y, (a,), _bw)
 
 
-def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    width = a.data.shape[-1]
-    if width < 2:
+def _layer_norm_forward(x: np.ndarray, gain: np.ndarray | None, bias: np.ndarray | None,
+                        eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``layer_norm``'s output, with the normalized input and the inverse
+    deviations that ``_layer_norm_backward`` reads."""
+    if x.shape[-1] < 2:
         raise ValueError("layer_norm needs at least 2 features")
-    x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    data = xhat
+    y = xhat
     if gain is not None:
-        data = data * gain.data
+        y = y * gain
     if bias is not None:
-        data = data + bias.data
+        y = y + bias
+    return y, xhat, inv
+
+
+def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                         gain: Tensor | None, bias: Tensor | None) -> np.ndarray:
+    """Accumulate the gradients of the affine terms; return the input's."""
+    width = xhat.shape[-1]
+    if gain is not None:
+        _accum(gain, (g * xhat).reshape(-1, width).sum(axis=0))
+    if bias is not None:
+        _accum(bias, g.reshape(-1, width).sum(axis=0))
+    gx = g * gain.data if gain is not None else g
+    gmean = gx.mean(axis=-1, keepdims=True)
+    gxhat = (gx * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gx - gmean - xhat * gxhat)
+
+
+def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    data, xhat, inv = _layer_norm_forward(a.data, _data(gain), _data(bias), eps)
     prev = (a,) + tuple(p for p in (gain, bias) if p is not None)
 
     def _bw(g):
-        if gain is not None:
-            _accum(gain, (g * xhat).reshape(-1, width).sum(axis=0))
-        if bias is not None:
-            _accum(bias, g.reshape(-1, width).sum(axis=0))
-        gx = g * gain.data if gain is not None else g
-        gmean = gx.mean(axis=-1, keepdims=True)
-        gxhat = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(a, inv * (gx - gmean - xhat * gxhat))
+        _accum(a, _layer_norm_backward(g, xhat, inv, gain, bias))
+
+    return Tensor._from_op(data, prev, _bw)
+
+
+# -- transformer sublayers -----------------------------------------------
+#
+# A pre-norm sublayer as one node. Each runs the numpy bodies of the
+# chain of ops it stands for (layer_norm, linear, multi_head_attention,
+# relu, add), in the chain's order, and sums each gradient's terms in the
+# order the chain's backward adds them, so its values and gradients are
+# bitwise the chain's. A projection is a (weight, bias) pair whose bias
+# may be None.
+
+
+def attention_sublayer(x: Tensor, gain: Tensor | None, bias: Tensor | None,
+                       query: tuple | None, key: tuple | None, value: tuple,
+                       out: tuple | None, heads: int) -> Tensor:
+    """x + out(multi_head_attention(query(y), key(y), value(y), heads))
+    with y = layer_norm(x, gain, bias). A None query, key or out
+    projection is the identity (the exact-counts layer attends with
+    unprojected queries and keys and has no output projection).
+
+    The node keeps y, the attention output and what the attention's
+    backward reads (``_attention_forward``), never a t x t array."""
+    projections = [p for pair in (query, key, value, out) if pair is not None for p in pair]
+    prev = tuple(p for p in (x, gain, bias, *projections) if p is not None)
+    y, xhat, inv = _layer_norm_forward(x.data, _data(gain), _data(bias))
+    q, k, v = (y if pair is None else _linear_forward(y, pair[0].data, _data(pair[1]))
+               for pair in (query, key, value))
+    saved = [] if _recorded(prev) else None
+    mixed = _attention_forward(q, k, v, heads, saved)
+    data = x.data + (mixed if out is None else _linear_forward(mixed, out[0].data, _data(out[1])))
+
+    def _bw(g):
+        _accum(x, g)
+        gm = g if out is None else _linear_backward(g, mixed, *out)
+        gq, gk, gv = (gp if pair is None else _linear_backward(gp, y, *pair)
+                      for pair, gp in zip((query, key, value),
+                                          _attention_backward(gm, mixed, saved, (True,) * 3)))
+        gq += gk  # y's gradient: its q, k and v terms, in the chain's order
+        gq += gv
+        _accum(x, _layer_norm_backward(gq, xhat, inv, gain, bias))
+
+    return Tensor._from_op(data, prev, _bw)
+
+
+def ffn_sublayer(x: Tensor, gain: Tensor | None, bias: Tensor | None,
+                 hidden: tuple, out: tuple) -> Tensor:
+    """x + out(relu(hidden(layer_norm(x, gain, bias)))). The node keeps
+    the normed input and the relu output, whose positive entries are the
+    relu's mask."""
+    prev = tuple(p for p in (x, gain, bias, *hidden, *out) if p is not None)
+    y, xhat, inv = _layer_norm_forward(x.data, _data(gain), _data(bias))
+    a = _linear_forward(y, hidden[0].data, _data(hidden[1]))
+    np.maximum(a, 0.0, out=a)
+    data = x.data + _linear_forward(a, out[0].data, _data(out[1]))
+
+    def _bw(g):
+        _accum(x, g)
+        ga = _linear_backward(g, a, *out)
+        gy = _linear_backward(ga * (a > 0), y, *hidden)
+        _accum(x, _layer_norm_backward(gy, xhat, inv, gain, bias))
 
     return Tensor._from_op(data, prev, _bw)
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcforge import encoder, refiner, scorers
+from arcforge import encoder, scorers
 from arcforge import tensor as T
 from arcforge.cli import main
 from arcforge.config import RunConfig
@@ -187,7 +187,7 @@ class TestGradcheckCommand:
                 T._accum(a, 1.01 * g * (a.data > 0))
             return T.Tensor._from_op(np.maximum(a.data, 0.0), (a,), _bw)
 
-        for module in (encoder, refiner, scorers):
+        for module in (encoder, scorers):  # the transformer layers' relu is inside ffn_sublayer
             monkeypatch.setattr(module, "relu", bad_relu)
         cfg = write(tmp_path / "cfg.json", json.dumps(self.KINK))
         for seed in (3, 4):
@@ -389,6 +389,19 @@ class TestTrainCommand:
         }))
         assert main(["train", "--config", train_cfg]) == 0
         assert main(["gradcheck", "--config", check_cfg, "--seed", "3"]) == 0
+
+    def test_run_that_fails_its_checks_writes_no_metrics_log(self, toy_files, tmp_path, capsys):
+        train_path, _, _ = toy_files
+        cfg = {**self.SMALL, "max_train_len": 1, "train_file": train_path,
+               "model_out": str(tmp_path / "m.npz")}
+        assert main(["train", "--config", write(tmp_path / "new.json", json.dumps(cfg))]) == 1
+        assert not (tmp_path / "m.npz.metrics.jsonl").exists()
+        earlier = tmp_path / "earlier.jsonl"
+        earlier.write_bytes(b'{"epoch": 1, "train_loss": 2.5}\n')
+        cfg["metrics_out"] = str(earlier)
+        assert main(["train", "--config", write(tmp_path / "old.json", json.dumps(cfg))]) == 1
+        assert earlier.read_bytes() == b'{"epoch": 1, "train_loss": 2.5}\n'
+        assert capsys.readouterr().err.count("error: no training sentences of length <= 1\n") == 2
 
     @pytest.mark.parametrize("decoder", ["mst", "eisner"])
     def test_float32_checkpoint_parses_in_float32(self, toy_files, tmp_path, monkeypatch, decoder):
