@@ -16,12 +16,6 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
-def tree_score(scores: np.ndarray, heads: list[int]) -> float:
-    """Sum of arc scores of the tree given as a 1-indexed head array,
-    added in float64 whatever the scores' dtype."""
-    return float(sum(scores[heads, np.arange(1, len(heads) + 1)].tolist()))
-
-
 def check_tree(heads: list[int]) -> bool:
     """True iff heads (1-indexed positions, 0 = root) form a tree rooted at 0.
 
@@ -104,35 +98,36 @@ def eisner(scores: np.ndarray) -> list[int]:
     arcs = np.empty((2, N, N))
     arcs[0] = scores.T
     arcs[1] = scores
-    # back-pointers: bp_cl, bp_cr, bp_i
+    # back-pointers bp_cl, bp_cr, bp_i: the best split's k, relative to s
     bp = np.zeros((3, N, N), dtype=np.intp)
-    ar = np.arange(N)
+    rows = np.arange(n)
+    slots = rows[:2, None]
     diag = (1, N + 1)  # [w, i] -> cell [1 + i, 1 + i + w]
     # incomplete: c_right[s, q] + c_left[q + 1, t] for split q = s + k in [s, t)
     inc_a = _strided(chart, 3 * NN + N + 1, (n - 1, n - 1), (N + 1, 1))
     inc_b = _strided(chart, 2 * N + 1, (n, n - 1, n - 1), (1, N + 1, N))
-    inc_arc = _strided(arcs, N + 1, (2, n, n - 1), (NN,) + diag)
-    inc_out = _strided(chart, 2 * NN + N + 1, (2, n, n - 1), (-NN,) + diag)  # i_left, i_right
+    inc_arc = _strided(arcs, N + 1, (n, 2, n - 1), (1, NN, N + 1))
+    inc_out = _strided(chart, 2 * NN + N + 1, (n, 2, n - 1), (1, -NN, N + 1))  # i_left, i_right
     inc_bp = _strided(bp, 2 * NN + N + 1, (n, n - 1), diag)
     # complete, slot 0 headed at t: c_left[s, q] + i_left[q, t], q = s + k in [s, t);
     # slot 1 headed at s: i_right[s, q] + c_right[q, t], q = s + 1 + k in (s, t]
     com_a = _strided(chart, N + 1, (2, n - 1, n - 1), (NN + 1, N + 1, 1))
-    com_b = _strided(chart, 2 * NN + N + 1, (2, n, n - 1, n - 1), (NN + N, 1, N + 1, N))
-    com_out = _strided(chart, N + 1, (2, n, n - 1), (3 * NN,) + diag)  # c_left, c_right
-    com_bp = _strided(bp, N + 1, (2, n, n - 1), (NN,) + diag)
-    com_at = _strided(ar, 1, (2, n - 1), (1, 1))  # s and s + 1 for row i
+    com_b = _strided(chart, 2 * NN + N + 1, (n, 2, n - 1, n - 1), (1, NN + N, N + 1, N))
+    com_out = _strided(chart, N + 1, (n, 2, n - 1), (1, 3 * NN, N + 1))  # c_left, c_right
+    com_bp = _strided(bp, N + 1, (n, 2, n - 1), (1, NN, N + 1))
 
+    # Each maximum is gathered at its argmax, the first maximum (NaN scores
+    # were rejected): the same value as a max reduction, at less cost.
     for w in range(1, n):
         m = n - w
+        r = rows[:m]
         combo = inc_a[:m, :w] + inc_b[w, :m, :w]
-        q = combo.argmax(axis=1)
-        np.add(inc_arc[:, w, :m], combo.max(axis=1), out=inc_out[:, w, :m])
-        np.add(q, ar[1:m + 1], out=inc_bp[w, :m])
+        q = combo.argmax(axis=1, out=inc_bp[w, :m])
+        np.add(inc_arc[w, :, :m], combo[r, q], out=inc_out[w, :, :m])
         # reads the incomplete spans of width w filled just above
-        combo = com_a[:, :m, :w] + com_b[:, w, :m, :w]
-        q = combo.argmax(axis=2)
-        combo.max(axis=2, out=com_out[:, w, :m])
-        np.add(q, com_at[:, :m], out=com_bp[:, w, :m])
+        combo = com_a[:, :m, :w] + com_b[w, :, :m, :w]
+        q = combo.argmax(axis=2, out=com_bp[w, :, :m])
+        com_out[w, :, :m] = combo[slots, r, q]
 
     best_c = 1 + int(np.argmax(arcs[1, 0, 1:] + c_left[1, 1:] + c_right[1:, n]))
 
@@ -144,11 +139,11 @@ def eisner(scores: np.ndarray) -> list[int]:
         if s == t:
             continue
         if kind == "cl":
-            q = bp_cl[s][t]
+            q = s + bp_cl[s][t]
             stack.append(("cl", s, q))
             stack.append(("il", q, t))
         elif kind == "cr":
-            q = bp_cr[s][t]
+            q = s + 1 + bp_cr[s][t]
             stack.append(("ir", s, q))
             stack.append(("cr", q, t))
         else:
@@ -156,7 +151,7 @@ def eisner(scores: np.ndarray) -> list[int]:
                 heads[s] = t
             else:
                 heads[t] = s
-            q = bp_i[s][t]
+            q = s + bp_i[s][t]
             stack.append(("cr", s, q))
             stack.append(("cl", q + 1, t))
     return heads[1:]

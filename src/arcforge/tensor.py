@@ -409,11 +409,11 @@ def _attention_scale(dk: int, dtype) -> np.ndarray:
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
                        saved: list | None) -> np.ndarray:
     """Every head's softmax(q_h @ k_h.T / sqrt(dk)) @ v_h, with the late
-    normalization ``multi_head_attention`` describes. One t x t scratch
-    array serves every head. When ``saved`` is a list, each head appends
-    what ``_attention_backward`` reads: the scaled q block, k's block
-    transposed, v's block, and the row maxima m and row sums s of its
-    exponentiated scores."""
+    normalization and the stacks ``multi_head_attention`` describes. One
+    t x t scratch array serves every head. When ``saved`` is a list, each
+    head appends what ``_attention_backward`` reads, as views of the
+    stacks: the scaled q block, k's block transposed, v's block, and the
+    row maxima m and row sums s of its exponentiated scores."""
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
         raise ValueError(f"attention expects equal 2-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
     t, width = q.shape
@@ -421,22 +421,25 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
         raise ValueError(f"head count {heads} does not divide width {width}")
     dk = width // heads
     scale = _attention_scale(dk, q.dtype)
+    # contiguous copies: BLAS rounds strided views differently
+    qs = (q * scale).reshape(t, heads, dk).transpose(1, 0, 2).copy()
+    kts = k.T.copy()
+    vs = v.reshape(t, heads, dk).transpose(1, 0, 2).copy()
     out = np.empty((t, width), dtype=np.result_type(q, v))
     e = np.empty((t, t), dtype=np.result_type(q, k))
+    ms, ss = np.empty((2, heads, t, 1), dtype=e.dtype)  # row maxima and sums
     for h in range(heads):
         sl = slice(h * dk, (h + 1) * dk)
-        # contiguous copies: BLAS rounds strided views differently
-        qh, kt, vh = q[:, sl] * scale, k[:, sl].T.copy(), v[:, sl].copy()
+        qh, kt, vh, m, s, oh = qs[h], kts[sl], vs[h], ms[h], ss[h], out[:, sl]
         np.matmul(qh, kt, out=e)
-        m = e.max(axis=-1, keepdims=True)
-        if np.isneginf(m).any():
+        np.maximum.reduce(e, axis=-1, keepdims=True, out=m)
+        if np.fmin.reduce(m, axis=None) == -np.inf:  # fmin passes over NaN rows
             raise ValueError("softmax over a fully masked (all -inf) slice")
         e -= m
         np.exp(e, out=e)
-        s = e.sum(axis=-1, keepdims=True)
-        oh = e @ vh
+        np.add.reduce(e, axis=-1, keepdims=True, out=s)
+        np.matmul(e, vh, out=oh)
         oh /= s
-        out[:, sl] = oh
         if saved is not None:
             saved.append((qh, kt, vh, m, s))
     return out
@@ -484,14 +487,17 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     head scales q by 1/sqrt(dk), exponentiates its shifted scores e in
     place, and divides the t x dk product e @ v by the row sums s, so no
     pass scales or divides the t x t scores. Backward takes the softmax's
-    row term as rowsum(dO * O), a t x dk product. Each head multiplies
-    contiguous copies of its column blocks, because BLAS rounds strided
-    views differently. No t x t array outlives a call: while a graph is
-    recorded, each head keeps only its t x dk blocks and its row maxima m
-    and row sums s, and backward rebuilds e from them one head at a time
-    with the forward's own calls (the recomputation of FlashAttention and
-    of gradient checkpointing, Chen et al. 2016), so the rebuilt e is
-    bitwise the forward's. Raises if a score row is entirely -inf.
+    row term as rowsum(dO * O), a t x dk product. A head multiplies
+    contiguous blocks, because BLAS rounds strided views differently: the
+    scaled q and v are copied once into (heads, t, dk) stacks, and k into
+    one k.T whose row blocks are the heads' k_h.T. Each head writes its
+    product straight into its column block of the output. No t x t array
+    outlives a call: while a graph is recorded, each head keeps only its
+    t x dk blocks and its row maxima m and row sums s, and backward
+    rebuilds e from them one head at a time with the forward's own calls
+    (the recomputation of FlashAttention and of gradient checkpointing,
+    Chen et al. 2016), so the rebuilt e is bitwise the forward's. Raises
+    if a score row is entirely -inf.
     """
     saved = [] if _recorded((q, k, v)) else None
     out = _attention_forward(q.data, k.data, v.data, heads, saved)

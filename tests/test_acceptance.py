@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from arcforge.conllu import Sentence, Token, build_vocab
-from arcforge.decoders import cle, eisner, tree_score
+from arcforge.decoders import cle, eisner
 from arcforge.evaluation import filter_oracle_uas, uas_las
 from arcforge.model import ModelConfig, build_model
 from arcforge.nn import Linear
@@ -30,7 +30,7 @@ from arcforge.training import (
 from test_tensor import _gradcheck_cases
 from test_training import run_swa_and_check_means
 from toygrammar import make_corpus
-from treeoracle import brute_force_best_tree
+from treeoracle import brute_force_best_tree, tree_score
 
 
 def report(criterion: int, message: str) -> None:

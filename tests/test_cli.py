@@ -390,6 +390,12 @@ class TestTrainCommand:
         assert main(["train", "--config", train_cfg]) == 0
         assert main(["gradcheck", "--config", check_cfg, "--seed", "3"]) == 0
 
+    def test_config_without_train_file(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", json.dumps({**self.SMALL, "model_out": str(tmp_path / "m.npz")}))
+        assert main(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: config needs train_file\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
     def test_run_that_fails_its_checks_writes_no_metrics_log(self, toy_files, tmp_path, capsys):
         train_path, _, _ = toy_files
         cfg = {**self.SMALL, "max_train_len": 1, "train_file": train_path,

@@ -212,6 +212,11 @@ class TestParse:
         with pytest.raises(ConlluError, match="line 2"):
             parse_conllu(text)
 
+    def test_negative_head_reports_line(self):
+        text = "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n2\tb\t_\tX\t_\t_\t-1\tdep\t_\t_\n"
+        with pytest.raises(ConlluError, match="^line 2: negative HEAD -1$"):
+            parse_conllu(text)
+
     def test_head_out_of_range(self):
         with pytest.raises(ConlluError, match="out of range"):
             parse_conllu("1\ta\t_\tX\t_\t_\t5\tdep\t_\t_\n")
@@ -426,6 +431,11 @@ class TestVocab:
 
         with pytest.raises(ValueError, match=f"^{message}"):
             Vocab(**{"form_to_id": {}, "upos_to_id": {}, "label_to_id": {}, **tables})
+
+    def test_unknown_label_raises(self):
+        vocab = build_vocab(self._corpus())
+        with pytest.raises(KeyError, match="unknown dependency label 'nope'"):
+            vocab.label_id("nope")
 
     def test_dict_round_trip(self):
         from arcforge.conllu import Vocab

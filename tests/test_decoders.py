@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arcforge.decoders import _masked, cle, eisner, is_projective, tree_score
-from treeoracle import brute_force_best_tree, candidate_trees, is_single_root_tree
+from arcforge.decoders import _masked, cle, eisner, is_projective
+from treeoracle import brute_force_best_tree, candidate_trees, is_single_root_tree, tree_score
 
 
 def random_scores(n, rng, lo=-5.0, hi=5.0):

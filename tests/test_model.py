@@ -26,12 +26,13 @@ def arc_cfg(vocab, **kw):
     return ModelConfig(**base)
 
 
-def edit_checkpoint_meta(path, edit):
-    """Rewrite a saved checkpoint's model config in place with ``edit``."""
+def edit_checkpoint_meta(path, edit, part="model"):
+    """Rewrite a saved checkpoint's model config (or, with ``part=None``,
+    its whole metadata) in place with ``edit``."""
     with np.load(path) as z:
         arrays = {key: z[key] for key in z.files}
     meta = json.loads(bytes(arrays["__meta__"]).decode())
-    edit(meta["model"])
+    edit(meta if part is None else meta[part])
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 
@@ -236,6 +237,13 @@ class TestCheckpoint:
             for sent in toy_corpus[1][:4]:
                 assert (loaded.predict(sent, vocab2, decoder=decoder)
                         == model.predict(sent, toy_vocab, decoder=decoder))
+
+    def test_unsupported_version_rejected(self, tmp_path, toy_vocab):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(arc_cfg(toy_vocab), toy_vocab, seed=6), toy_vocab)
+        edit_checkpoint_meta(path, lambda meta: meta.update(version=2), part=None)
+        with pytest.raises(ValueError, match="model.npz: unsupported checkpoint version 2$"):
+            load_checkpoint(path)
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"

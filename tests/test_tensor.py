@@ -1,10 +1,12 @@
 """Tests for the autodiff engine: forward oracles and gradient checks."""
 
+import contextlib
 import gc
 import math
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -320,6 +322,82 @@ class TestSublayers:
         assert h._prev == () and h._backward is None
 
 
+def loop_attention_forward(q, k, v, heads, saved):
+    """The per-head loop that ``tensor._attention_forward`` replaced, kept
+    as its bitwise oracle: each head copies its own column blocks, reduces
+    with the array methods and copies its output into place."""
+    t, width = q.shape
+    dk = width // heads
+    scale = T._attention_scale(dk, q.dtype)
+    out = np.empty((t, width), dtype=np.result_type(q, v))
+    e = np.empty((t, t), dtype=np.result_type(q, k))
+    for h in range(heads):
+        sl = slice(h * dk, (h + 1) * dk)
+        qh, kt, vh = q[:, sl] * scale, k[:, sl].T.copy(), v[:, sl].copy()
+        np.matmul(qh, kt, out=e)
+        m = e.max(axis=-1, keepdims=True)
+        if np.isneginf(m).any():
+            raise ValueError("softmax over a fully masked (all -inf) slice")
+        e -= m
+        np.exp(e, out=e)
+        s = e.sum(axis=-1, keepdims=True)
+        oh = e @ vh
+        oh /= s
+        out[:, sl] = oh
+        if saved is not None:
+            saved.append((qh, kt, vh, m, s))
+    return out
+
+
+class TestAttentionStacks:
+    @settings(max_examples=120, deadline=None)
+    @given(t=st.integers(1, 40), heads=st.integers(1, 4), dk=st.integers(1, 6),
+           exact_counts=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]),
+           record=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_head_loop(self, t, heads, dk, exact_counts, dtype, record, seed):
+        width = max(heads * dk, 2)  # layer norm needs 2 features
+
+        def run(forward):
+            rng = np.random.default_rng(seed)
+            attn_args, _ = _sublayer_params(rng, width, heads, exact_counts, dtype)
+            x, q, k, v = (typed(rng.normal(size=(t, width)) * rng.uniform(0.1, 4.0), dtype)
+                          for _ in range(4))
+            weight = typed(rng.normal(size=(t, width)), dtype, grad=False)
+            saved = [] if record else None
+            values = [forward(q.data, k.data, v.data, heads, saved)]
+            values += [a for head in saved or [] for a in head]  # qh, kt, vh, m, s
+            with pytest.MonkeyPatch.context() as mp, \
+                    (contextlib.nullcontext() if record else T.no_grad()):
+                mp.setattr(T, "_attention_forward", forward)
+                for y in (T.multi_head_attention(q, k, v, heads), T.attention_sublayer(x, *attn_args)):
+                    values.append(y.data)
+                    if record:
+                        T.tsum(y * weight).backward()
+            if record:
+                values += [p.grad for p in [q, k, v, x, *_leaves(attn_args)]]
+            return values
+
+        got, want = run(T._attention_forward), run(loop_attention_forward)
+        # three outputs; recorded: five saved arrays per head, then the
+        # gradients of q, k, v, x and the sublayer's 1 or 10 parameters
+        assert len(got) == len(want) == 3 + record * (5 * heads + 4 + (1 if exact_counts else 10))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("forward", [T._attention_forward, loop_attention_forward])
+    @pytest.mark.parametrize("t, width, heads", [(1, 1, 1), (3, 4, 2), (19, 64, 4), (40, 8, 4)])
+    def test_fully_masked_row_raises_before_it_is_shifted(self, forward, t, width, heads):
+        # row t // 2 of every head scores -inf * 1 against every key
+        q, k, v = np.ones((t, width)), np.ones((t, width)), np.ones((t, width))
+        q[t // 2] = -np.inf
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError, match="all -inf"):
+            warnings.simplefilter("always")
+            forward(q, k, v, heads, [])
+        # BLAS may flag an invalid operation on the inf operand; no later call may warn
+        assert all(str(w.message).endswith("in matmul") for w in caught), [str(w.message) for w in caught]
+
+
 def _guard_cases():
     """(name, elementary op call, fused node call, message) for each check
     of the ops that the sublayer nodes share."""
@@ -397,6 +475,17 @@ class TestCrossEntropy:
         out = T.cross_entropy_from_logits(tt(np.zeros((3, 1))), [0, 0, 0])
         assert out.item() == 0.0
 
+    @pytest.mark.parametrize("shape, targets, message", [
+        ((4,), [0], r"cross_entropy expects 2-D logits, got \(4,\)"),
+        ((3, 4), [0, 1], r"targets shape \(2,\) does not match 3 rows"),
+        ((3, 4), [[0, 1, 2]], r"targets shape \(1, 3\) does not match 3 rows"),
+        ((3, 4), [0, 4, 1], "target class out of range"),
+        ((3, 4), [0, -1, 1], "target class out of range"),
+    ])
+    def test_bad_shapes_and_classes_rejected(self, shape, targets, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            T.cross_entropy_from_logits(tt(np.zeros(shape)), targets)
+
 
 class TestStraightThrough:
     def test_forward_bitwise(self):
@@ -451,6 +540,14 @@ class TestGradientBookkeeping:
         assert x.grad.tolist() == [1.0, 1.0, 1.0]
         T._accum(x, g)
         assert x.grad.tolist() == [6.0, 2.0, 2.0]
+
+    def test_size_one_axis_gradient_sums_over_that_axis(self):
+        rng = np.random.default_rng(0)
+        x, row, col = tt(rng.normal(size=(4, 3))), tt(rng.normal(size=(1, 3))), tt(rng.normal(size=(4, 1)))
+        T.tsum((x + row) * col).backward()
+        assert row.grad.shape == (1, 3) and col.grad.shape == (4, 1)
+        assert np.allclose(row.grad, col.data.sum() * np.ones((1, 3)))
+        assert np.allclose(col.grad, (x.data + row.data).sum(axis=1, keepdims=True))
 
     def test_dropped_graph_freed_without_cycle_collector(self):
         x = tt(np.ones(3))

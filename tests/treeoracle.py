@@ -1,6 +1,7 @@
-"""Exhaustive tree search: the oracle the decoder tests compare against.
+"""Exhaustive tree search and tree scores: the oracles the decoder tests
+compare against.
 
-No prediction or training path calls it, so it lives with the tests.
+No prediction or training path calls them, so they live with the tests.
 """
 
 import itertools
@@ -8,7 +9,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from arcforge.decoders import check_tree, is_projective, tree_score
+from arcforge.decoders import check_tree, is_projective
+
+
+def tree_score(scores: np.ndarray, heads: list[int]) -> float:
+    """Sum of arc scores of the tree given as a 1-indexed head array,
+    added in float64 whatever the scores' dtype."""
+    return float(sum(scores[heads, np.arange(1, len(heads) + 1)].tolist()))
 
 
 def is_single_root_tree(heads: list[int]) -> bool:
