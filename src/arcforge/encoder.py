@@ -69,8 +69,6 @@ class Encoder(Module):
     def forward(self, form_ids, upos_ids=None) -> Tensor:
         e = embedding_gather(self.form_emb, form_ids)
         if self.upos_emb is not None:
-            if upos_ids is None:
-                raise ValueError("encoder configured with UPOS embeddings but got no upos ids")
             e = e + embedding_gather(self.upos_emb, upos_ids)
         e = dropout(e, self.emb_dropout, self.training, self.rng)
         if len(self.context):

@@ -141,9 +141,6 @@ class _ParserBase(Module):
                                emb_dropout=cfg.emb_dropout, use_upos=cfg.use_upos,
                                exact_counts=cfg.exact_counts)
 
-    def forward_parse(self, sentence: Sentence, vocab: Vocab) -> ForwardPass:
-        raise NotImplementedError
-
     def optimizer_groups(self) -> dict[str, list[tuple[str, Tensor]]]:
         """Two schedules: the arc-refinement transformer vs everything else."""
         groups: dict[str, list[tuple[str, Tensor]]] = {"main": [], "transformer": []}

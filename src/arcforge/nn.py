@@ -29,16 +29,12 @@ class Module:
         object.__setattr__(self, "training", True)
 
     def __setattr__(self, name, value):
-        params = self.__dict__.get("_parameters")
-        modules = self.__dict__.get("_modules")
-        if params is None or modules is None:
-            raise RuntimeError("Module.__init__ must run before assigning attributes")
-        params.pop(name, None)
-        modules.pop(name, None)
+        self._parameters.pop(name, None)
+        self._modules.pop(name, None)
         if isinstance(value, Tensor) and value.requires_grad:
-            params[name] = value
+            self._parameters[name] = value
         elif isinstance(value, Module):
-            modules[name] = value
+            self._modules[name] = value
         object.__setattr__(self, name, value)
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
@@ -55,9 +51,6 @@ class Module:
                 seen.add(id(p))
                 out.append(p)
         return out
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
 
     def train(self, mode: bool = True) -> "Module":
         object.__setattr__(self, "training", mode)
@@ -93,9 +86,6 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError
-
 
 class ModuleList(Module):
     def __init__(self, mods=()):
@@ -114,17 +104,12 @@ class ModuleList(Module):
     def __len__(self):
         return len(self._items)
 
-    def __getitem__(self, i):
-        return self._items[i]
-
 
 class Linear(Module):
     """y = x @ W (+ b); weight shape is (n_in, n_out)."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, bias: bool = True):
         super().__init__()
-        self.n_in = n_in
-        self.n_out = n_out
         self.weight = Tensor(glorot_uniform((n_in, n_out), n_in, n_out, rng), requires_grad=True)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 

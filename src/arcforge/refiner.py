@@ -46,8 +46,6 @@ def attention_entry_count() -> int:
 
 def num_heads(r: int) -> int:
     """Head count rule: the divisor of r closest to r/16 (ties -> larger)."""
-    if r < 1:
-        raise ValueError(f"width must be positive, got {r}")
     target = r / 16.0
     best = 1
     best_key = (abs(1 - target), -1)
@@ -66,7 +64,6 @@ class LayerNorm(Module):
 
     def __init__(self, width: int, affine: bool = True):
         super().__init__()
-        self.width = width
         self.gain = Tensor(np.ones(width), requires_grad=True) if affine else None
         self.bias = Tensor(np.zeros(width), requires_grad=True) if affine else None
 
@@ -88,7 +85,6 @@ class TransformerLayer(Module):
         super().__init__()
         if width % heads:
             raise ValueError(f"head count {heads} does not divide width {width}")
-        self.width = width
         self.heads = heads
         self.exact_counts = exact_counts
         if exact_counts:
@@ -145,16 +141,10 @@ def filter_topk(v0_flat: Tensor, filter_head: Linear, n: int, k: int,
     modifier's candidate vectors; otherwise they are plain gathers and
     no softmax runs.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     big_n = n + 1
-    if v0_flat.data.shape[0] != big_n * big_n:
-        raise ValueError(f"arc grid has {v0_flat.data.shape[0]} rows, expected {big_n * big_n}")
     logits = head_logits(reshape(filter_head(v0_flat), (big_n, big_n)), n)
     lg = logits
     if gumbel_scale > 0.0:
-        if rng is None:
-            raise ValueError("filter noise needs an rng")
         noise = np.zeros((n, big_n))
         noise[candidates(n)] = rng.gumbel(size=n * n) * gumbel_scale
         lg = lg + noise

@@ -15,7 +15,7 @@ from .nn import Linear, Module, glorot_uniform
 from .tensor import (
     Tensor,
     concat,
-    matmul,
+    linear,
     narrow,
     paired_bilinear,
     pairwise_bilinear,
@@ -53,11 +53,6 @@ class LocScorer(Module):
     def __init__(self, x: int, y: int, n_labels: int, rng: np.random.Generator,
                  biaffine_bias: bool = False):
         super().__init__()
-        if x < 1 or y < 1:
-            raise ValueError(f"MLP output sizes must be positive, got x={x}, y={y}")
-        self.x = x
-        self.y = y
-        self.n_labels = n_labels
         self.biaffine_bias = biaffine_bias
         xa = x + 1 if biaffine_bias else x
         ya = y + 1 if biaffine_bias else y
@@ -68,7 +63,7 @@ class LocScorer(Module):
         """Raw arc scores S[i, j] = h_i^T M m_j, shape (n+1, n+1)."""
         if self.biaffine_bias:
             h_arc, m_arc = _ones_column(h_arc), _ones_column(m_arc)
-        return matmul(matmul(h_arc, self.arc_weight), transpose(m_arc))
+        return linear(linear(h_arc, self.arc_weight), transpose(m_arc))
 
     def label_logits(self, h_lab_rows: Tensor, m_lab_rows: Tensor) -> Tensor:
         """Label logits for row-aligned (head, modifier) pairs."""
@@ -90,9 +85,7 @@ class ArcScorer(Module):
         super().__init__()
         if r % 2:
             raise ValueError(f"arc vector size must be even, got r={r}")
-        self.d = d
         self.r = r
-        self.n_labels = n_labels
         bias = not exact_counts
         self.arc_tensor = Tensor(glorot_uniform((d, r, d), d, d, rng), requires_grad=True)
         self.score_hidden = Linear(r, r // 2, rng, bias=bias)

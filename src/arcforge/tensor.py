@@ -118,22 +118,8 @@ class Tensor:
 
     # -- convenience -------------------------------------------------
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(())[()])
-
-    def __repr__(self) -> str:
-        req = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{req})"
 
     # -- autodiff core -----------------------------------------------
 
@@ -182,35 +168,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(other, self)))
-
-    def __rsub__(self, other):
-        return add(_lift(other, self), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def sum(self, axis=None) -> "Tensor":
-        return tsum(self, axis)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
 
 
 def _lift(x, like: Tensor) -> Tensor:
@@ -231,14 +193,6 @@ def add(a, b) -> Tensor:
             _accum(b, _unbroadcast(g, b.data.shape))
 
     return Tensor._from_op(a.data + b.data, (a, b), _bw)
-
-
-def neg(a: Tensor) -> Tensor:
-
-    def _bw(g):
-        _accum(a, -g)
-
-    return Tensor._from_op(-a.data, (a,), _bw)
 
 
 def mul(a, b) -> Tensor:
@@ -267,12 +221,8 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
     With p=0 or in eval mode this is the identity (the same tensor is
     returned, bitwise).
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate out of range: {p}")
     if not training or p == 0.0:
         return a
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
     mask = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
 
     def _bw(g):
@@ -290,9 +240,9 @@ def _data(t: Tensor | None) -> np.ndarray | None:
 
 def _linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     if x.ndim != 2 or w.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {x.shape} @ {w.shape}")
+        raise ValueError(f"linear expects 2-D operands, got {x.shape} @ {w.shape}")
     if x.shape[1] != w.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {x.shape} @ {w.shape}")
+        raise ValueError(f"linear dimension mismatch: {x.shape} @ {w.shape}")
     y = x @ w
     return y if b is None else y + b
 
@@ -310,8 +260,8 @@ def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None,
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w (+ b)`` as one node, so the product before the bias is not
-    kept until backward. Values and gradients are bitwise those of
-    ``add(matmul(x, w), b)``."""
+    kept until backward. Values and gradients are bitwise those of the
+    product and the bias add as two nodes."""
     x, w = _lift(x, w), _lift(w, x)
     y = _linear_forward(x.data, w.data, _data(b))
 
@@ -323,13 +273,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor._from_op(y, (x, w) if b is None else (x, w, b), _bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return linear(a, b)
-
-
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got shape {a.data.shape}")
 
     def _bw(g):
         _accum(a, g.T)
@@ -343,10 +287,6 @@ def pairwise_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
     Contracts H with t first, so the cost is O(p*a*r*b + p*q*r*b)
     rather than the O(p*q*a*r*b) of one three-operand contraction.
     """
-    if H.data.ndim != 2 or M.data.ndim != 2 or t.data.ndim != 3:
-        raise ValueError("pairwise_bilinear expects (p,a), (a,r,b), (q,b)")
-    if t.data.shape[0] != H.data.shape[1] or t.data.shape[2] != M.data.shape[1]:
-        raise ValueError(f"pairwise_bilinear dimension mismatch: {H.data.shape}, {t.data.shape}, {M.data.shape}")
     p, q = H.data.shape[0], M.data.shape[0]
     a, r, b = t.data.shape
     t_flat = t.data.reshape(a, r * b)
@@ -364,10 +304,6 @@ def pairwise_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
 
 def paired_bilinear(H: Tensor, t: Tensor, M: Tensor) -> Tensor:
     """Row-aligned bilinear: out[i,c] = sum_{a,b} H[i,a] * t[a,c,b] * M[i,b]."""
-    if H.data.shape[0] != M.data.shape[0]:
-        raise ValueError(f"paired_bilinear row mismatch: {H.data.shape} vs {M.data.shape}")
-    if t.data.shape[0] != H.data.shape[1] or t.data.shape[2] != M.data.shape[1]:
-        raise ValueError(f"paired_bilinear dimension mismatch: {H.data.shape}, {t.data.shape}, {M.data.shape}")
     n = H.data.shape[0]
     a, c, b = t.data.shape
     t_flat = t.data.reshape(a, c * b)
@@ -524,8 +460,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
-    if not tensors:
-        raise ValueError("concat of zero tensors")
     sizes = [t.data.shape[axis] for t in tensors]
 
     def _bw(g):
@@ -540,8 +474,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    if start < 0 or length < 0 or start + length > a.data.shape[axis]:
-        raise ValueError(f"narrow out of range: axis {axis}, [{start}, {start + length}) of {a.data.shape}")
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
@@ -557,8 +489,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 def embedding_gather(table: Tensor, ids) -> Tensor:
     """Gather rows of a 2-D tensor; the gradient scatter-adds back."""
     ids = np.asarray(ids, dtype=np.intp)
-    if table.data.ndim != 2:
-        raise ValueError(f"embedding_gather expects a 2-D table, got {table.data.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError(f"gather index out of range for table with {table.data.shape[0]} rows")
 
@@ -579,8 +509,6 @@ def row_scatter(base: Tensor, ids, rows: Tensor) -> Tensor:
     ids = np.asarray(ids, dtype=np.intp)
     if len(np.unique(ids)) != len(ids):
         raise ValueError("row_scatter indices must be unique")
-    if rows.data.shape != (len(ids),) + base.data.shape[1:]:
-        raise ValueError(f"row_scatter shape mismatch: {rows.data.shape} into {base.data.shape}")
     data = base.data.copy()
     data[ids] = rows.data
 
@@ -593,17 +521,7 @@ def row_scatter(base: Tensor, ids, rows: Tensor) -> Tensor:
     return Tensor._from_op(data, (base, rows), _bw)
 
 
-# -- reductions and normalization --------------------------------------
-
-
-def tsum(a: Tensor, axis=None) -> Tensor:
-
-    def _bw(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return Tensor._from_op(np.sum(a.data, axis=axis), (a,), _bw)
+# -- normalization ----------------------------------------------------
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -764,9 +682,6 @@ def straight_through(hard: Tensor, surrogate: Tensor) -> Tensor:
     Equivalent to hard - surrogate + surrogate with the gradient stopped
     on the subtracted term, without the floating-point cancellation.
     """
-    if hard.data.shape != surrogate.data.shape:
-        raise ValueError(f"straight_through shape mismatch: {hard.data.shape} vs {surrogate.data.shape}")
-
     def _bw(g):
         _accum(surrogate, g)
 
@@ -776,13 +691,10 @@ def straight_through(hard: Tensor, surrogate: Tensor) -> Tensor:
 # -- non-differentiable index ops --------------------------------------
 
 
-def argsort_descending(x) -> np.ndarray:
+def argsort_descending(x: np.ndarray) -> np.ndarray:
     """Indices sorting along the last axis high-to-low; ties keep
     ascending index."""
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if arr.ndim < 1:
-        raise ValueError(f"argsort_descending expects at least 1-D input, got shape {arr.shape}")
-    return np.argsort(-arr, axis=-1, kind="stable")
+    return np.argsort(-x, axis=-1, kind="stable")
 
 
 # -- verification harness ----------------------------------------------

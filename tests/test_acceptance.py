@@ -18,7 +18,7 @@ from arcforge.refiner import (
     filter_topk,
     reset_attention_entry_count,
 )
-from arcforge.tensor import Tensor, grad_check, tsum
+from arcforge.tensor import Tensor, grad_check
 from arcforge.training import (
     SwaState,
     TrainConfig,
@@ -27,6 +27,7 @@ from arcforge.training import (
     formula_param_count,
     train,
 )
+from scalarloss import total
 from test_tensor import _gradcheck_cases
 from test_training import run_swa_and_check_means
 from toygrammar import make_corpus
@@ -98,7 +99,7 @@ def test_criterion_3_straight_through_contract():
     # backward: gradient of the summed kept vectors equals k * dE/dV0
     # with E the softmax-weighted candidate mean, per modifier
     v0.grad = None
-    tsum(out.kept_vectors).backward()
+    total(out.kept_vectors).backward()
     got = v0.grad
     expected = np.zeros_like(v0.data)
     w = head.weight.data[:, 0]

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -89,6 +91,15 @@ class TestEvalCommand:
         (tmp_path / "pred.conllu").write_bytes(b"\xff" + GOLD.encode())
         assert main(["eval", "--gold", gold, "--pred", str(tmp_path / "pred.conllu")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'pred.conllu'}: 'utf-8' codec")
+
+
+class TestModuleEntryPoint:
+    def test_exit_1_reaches_the_shell(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = subprocess.run([sys.executable, "-m", "arcforge.cli", "params", "--config", "missing.json"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1, run.stdout + run.stderr
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
 
 
 class TestParamsCommand:
@@ -290,12 +301,15 @@ class TestTrainParseEvalPipeline:
         (lambda m: m["vocab"].pop("label_to_id"), "vocab must be a JSON object holding objects"),
         (lambda m: m["model"].update(mlp_dropout=1.0), "bad model config: mlp_dropout must be in [0, 1), got 1.0"),
         (lambda m: m["model"].update(context_heads=0), "bad model config: context_heads must be >= 1, got 0"),
+        (lambda m: m["model"].update(n_labels=0), "bad model config: n_labels must be >= 1"),
+        (lambda m: m["model"].update(layers=-1), "bad model config: layers must be >= 0 and k >= 1"),
+        (lambda m: m["model"].update(k=0), "bad model config: layers must be >= 0 and k >= 1"),
         (lambda m: m["vocab"].update(label_to_id={k: i + 1000 for k, i in m["vocab"]["label_to_id"].items()}),
          "bad vocab: label_to_id ids must be the ints 0.."),
         (lambda m: m["vocab"].update(upos_to_id={k: i + 0.5 for k, i in m["vocab"]["upos_to_id"].items()}),
          "bad vocab: upos_to_id ids must be the ints 2.."),
     ], ids=["str-width", "float-k", "str-flag", "model-list", "no-label-table", "dropout-one",
-            "zero-heads", "shifted-labels", "float-upos"])
+            "zero-heads", "zero-labels", "negative-layers", "zero-k", "shifted-labels", "float-upos"])
     def test_bad_checkpoint_values_rejected(self, trained_toy, tmp_path, capsys, edit, message):
         model_path, _, dev_path, _ = trained_toy
         bad_path = save_with_meta(model_path, str(tmp_path / "bad.npz"), edit)

@@ -58,6 +58,10 @@ class TestUasLas:
         assert uas_keep == pytest.approx(33.3333, abs=1e-3)
         assert uas_drop == 0.0
 
+    def test_no_counted_token_scores_zero(self):
+        gold = parse_conllu("1\t!\t_\tPUNCT\t_\t_\t0\troot\t_\t_\n")
+        assert uas_las([([0], ["root"])], gold, "upos") == (0.0, 0.0)
+
     def test_permutation_invariant_over_sentences(self):
         gold = parse_conllu(THREE_TOKENS + "\n" + WITH_PUNCT)
         preds = [([3, 3, 0], ["amod", "bad", "root"]), ([2, 0, 2], ["nsubj", "root", "punct"])]
@@ -106,3 +110,8 @@ class TestFilterOracle:
         gold = parse_conllu(THREE_TOKENS)
         with pytest.raises(ValueError):
             filter_oracle_uas([[[0]]], gold)
+
+    def test_sentence_count_mismatch_rejected(self):
+        gold = parse_conllu(THREE_TOKENS)
+        with pytest.raises(ValueError, match="2 filter outputs for 1 sentences"):
+            filter_oracle_uas([[[2], [3], [0]]] * 2, gold)

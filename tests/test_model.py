@@ -16,6 +16,7 @@ from arcforge.model import (
 )
 from arcforge.refiner import num_heads
 from arcforge.training import TrainConfig, sentence_loss
+from scalarloss import total
 from treeoracle import is_single_root_tree
 
 
@@ -278,12 +279,10 @@ class TestRegistryGroups:
         sent = toy_corpus[0][0]
         fwd = model.forward_parse(sent, toy_vocab)
         model.zero_grad()
-        from arcforge.tensor import tsum
-
-        tsum(fwd.scores).backward()
+        total(fwd.scores).backward()
         assert model.scorer.filter_head.weight.grad is None
         model.train()
         fwd2 = model.forward_parse(sent, toy_vocab)
         model.zero_grad()
-        tsum(fwd2.scores).backward()
+        total(fwd2.scores).backward()
         assert model.scorer.filter_head.weight.grad is not None

@@ -27,7 +27,7 @@ from arcforge.tensor import (
     embedding_gather,
     grad_check,
     layer_norm,
-    matmul,
+    linear,
     multi_head_attention,
     narrow,
     no_grad,
@@ -35,8 +35,8 @@ from arcforge.tensor import (
     softmax,
     straight_through,
     transpose,
-    tsum,
 )
+from scalarloss import total
 
 
 def tt(a, grad=True):
@@ -90,7 +90,7 @@ def reference_filter_topk(v0_flat, filter_head, n, k, rng=None, gumbel_scale=0.0
         expectation = None
         if st_grad:
             rows = embedding_gather(v0_flat, idx)
-            expectation = matmul(reshape(probs, (1, len(valid))), rows)
+            expectation = linear(reshape(probs, (1, len(valid))), rows)
         for h in heads_j:
             hard = embedding_gather(v0_flat, [h * big_n + j])
             kept_vecs.append(straight_through(hard, expectation) if st_grad else hard)
@@ -106,7 +106,7 @@ def _filter_gradients(filter_fn, v0, head, w, **kwargs):
     for p in head.parameters():
         p.grad = None
     out = filter_fn(v0, head, **kwargs)
-    tsum(out.kept_vectors * w).backward()
+    total(out.kept_vectors * w).backward()
     return out, [None if t.grad is None else t.grad.copy() for t in [v0] + head.parameters()]
 
 
@@ -224,7 +224,7 @@ class TestFilterTopk:
                           rng=np.random.default_rng(0), gumbel_scale=0.0, st_grad=True)
         # isolate modifier j=2: its kept rows sit at offset k (modifier 1 kept k rows)
         v0.grad = None
-        loss = tsum(narrow(out.kept_vectors, 0, k, k))
+        loss = total(narrow(out.kept_vectors, 0, k, k))
         loss.backward()
         got = v0.grad.copy()
 
@@ -266,7 +266,7 @@ class TestFilterTopk:
         v0, head = make_filter_fixture(n=3, seed=8)
         out = filter_topk(v0, head, n=3, k=1, st_grad=False)
         v0.grad = None
-        tsum(out.kept_vectors).backward()
+        total(out.kept_vectors).backward()
         nonzero_rows = {int(i) for i in np.nonzero(v0.grad.sum(axis=1))[0]}
         assert nonzero_rows == set(out.kept_flat_idx.tolist())
 
@@ -274,12 +274,12 @@ class TestFilterTopk:
 class TestTransformerLayer:
     def test_exact_counts_param_count_r2(self):
         layer = TransformerLayer(2, 1, np.random.default_rng(0), exact_counts=True)
-        assert layer.param_count() == 36  # 9 r^2
+        assert sum(p.data.size for p in layer.parameters()) == 36  # 9 r^2
 
     def test_exact_counts_param_count_various(self):
         for r, heads in ((4, 1), (16, 1), (32, 2)):
             layer = TransformerLayer(r, heads, np.random.default_rng(0), exact_counts=True)
-            assert layer.param_count() == 9 * r * r
+            assert sum(p.data.size for p in layer.parameters()) == 9 * r * r
 
     def test_heads_must_divide(self):
         with pytest.raises(ValueError, match="divide"):
@@ -346,8 +346,8 @@ def reference_attention(q, k, v, heads):
         qh = narrow(q, 1, h * dk, dk)
         kh = narrow(k, 1, h * dk, dk)
         vh = narrow(v, 1, h * dk, dk)
-        scores = matmul(qh, transpose(kh)) * (1.0 / math.sqrt(dk))
-        outs.append(matmul(softmax(scores, axis=-1), vh))
+        scores = linear(qh, transpose(kh)) * (1.0 / math.sqrt(dk))
+        outs.append(linear(softmax(scores, axis=-1), vh))
     return concat(outs, axis=1) if len(outs) > 1 else outs[0]
 
 
@@ -396,11 +396,11 @@ def _attention_run(attend, case):
     y = layer_norm(x)
     if case["q_is_k"]:  # the exact_counts layer
         q = k = y
-        v = matmul(y, ws[0])
+        v = linear(y, ws[0])
     else:
-        q, k, v = (matmul(y, w) for w in ws)
+        q, k, v = (linear(y, w) for w in ws)
     out = attend(q, k, v, case["heads"])
-    tsum(out * tt(rng.normal(size=(t, width)), grad=False)).backward()
+    total(out * tt(rng.normal(size=(t, width)), grad=False)).backward()
     with no_grad():
         eval_out = attend(q, k, v, case["heads"])
     return [out.data, eval_out.data] + [a.grad for a in (q, k, v, x, *ws)]
@@ -452,7 +452,7 @@ class TestMultiHeadAttention:
         def errors(attend):
             q, k, v = (tt(a) for a in qkv)
             out = attend(q, k, v, heads)
-            tsum(out * tt(g, grad=False)).backward()
+            total(out * tt(g, grad=False)).backward()
             return [float(np.max(np.abs(a - e)) / scale)
                     for a, e, scale in zip((out.data, q.grad, k.grad, v.grad), exact, scales)]
 
@@ -477,11 +477,11 @@ class TestMultiHeadAttention:
         q, k, v = tt(q), tt(k), tt(rng.normal(size=(t, 4)))
         w = tt(rng.normal(size=(t, 4)), grad=False)
         out = multi_head_attention(q, k, v, heads)
-        tsum(out * w).backward()
+        total(out * w).backward()
         assert all(np.isfinite(a).all() for a in (out.data, q.grad, k.grad, v.grad))
         assert np.max(np.abs(q.grad)) > 0
         for theta in (q, k, v):
-            err = grad_check(lambda: tsum(multi_head_attention(q, k, v, heads) * w), theta, eps=1e-5)
+            err = grad_check(lambda: total(multi_head_attention(q, k, v, heads) * w), theta, eps=1e-5)
             assert err < 1e-6
 
     def test_no_grad_keeps_nothing_and_one_score_matrix(self):

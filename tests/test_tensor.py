@@ -1,5 +1,6 @@
 """Tests for the autodiff engine: forward oracles and gradient checks."""
 
+import ast
 import contextlib
 import gc
 import math
@@ -8,6 +9,7 @@ import threading
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from arcforge.conllu import Sentence, Token, Vocab
 from arcforge.model import ModelConfig, build_model
 from arcforge.tensor import Tensor, grad_check
 from arcforge.training import sentence_loss
+from scalarloss import total
 
 
 def tt(arr, grad=True):
@@ -29,10 +32,10 @@ class TestMatmul:
     def test_identity(self):
         a = tt(np.eye(2))
         b = tt([[5.0], [7.0]])
-        assert np.array_equal(T.matmul(a, b).data, [[5.0], [7.0]])
+        assert np.array_equal(T.linear(a, b).data, [[5.0], [7.0]])
 
     def test_hand_product(self):
-        out = T.matmul(tt([[1.0, 2.0], [3.0, 4.0]]), tt([[1.0], [1.0]]))
+        out = T.linear(tt([[1.0, 2.0], [3.0, 4.0]]), tt([[1.0], [1.0]]))
         assert np.array_equal(out.data, [[3.0], [7.0]])
 
     def test_against_triple_loop(self):
@@ -44,12 +47,12 @@ class TestMatmul:
             for j in range(2):
                 for k in range(4):
                     ref[i, j] += a[i, k] * b[k, j]
-        out = T.matmul(tt(a), tt(b))
+        out = T.linear(tt(a), tt(b))
         assert np.max(np.abs(out.data - ref)) < 1e-12
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(tt(np.zeros((2, 3))), tt(np.zeros((2, 2))))
+            T.linear(tt(np.zeros((2, 3))), tt(np.zeros((2, 2))))
 
 
 def typed(arr, dtype, grad=True):
@@ -73,8 +76,8 @@ class TestLinear:
             if fused:
                 y = T.linear(x, w, b)
             else:
-                y = T.matmul(x, w) if b is None else T.add(T.matmul(x, w), b)
-            T.tsum(y * weight).backward()
+                y = T.linear(x, w) if b is None else T.add(T.linear(x, w), b)
+            total(y * weight).backward()
             return [y.data, x.grad, w.grad] + ([b.grad] if bias else [])
 
         for got, want in zip(run(True), run(False), strict=True):
@@ -95,7 +98,7 @@ class TestLinear:
         rng = np.random.default_rng(19)
         x, w, b = tt(rng.normal(size=(4, 3))), tt(rng.normal(size=(3, 5))), tt(rng.normal(size=5))
         theta = {"x": x, "w": w, "b": b}[operand]
-        err = grad_check(lambda: T.tsum(T.linear(x, w, b) * T.linear(x, w, b)), theta, eps=1e-5)
+        err = grad_check(lambda: total(T.linear(x, w, b) * T.linear(x, w, b)), theta, eps=1e-5)
         assert err < 1e-6
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -197,7 +200,7 @@ class TestMultiHeadAttention:
             theta, k = q, q
         else:
             theta = {"q": q, "k": k, "v": v}[operand]
-        err = grad_check(lambda: T.tsum(T.multi_head_attention(q, k, v, 2) * w), theta, eps=1e-5)
+        err = grad_check(lambda: total(T.multi_head_attention(q, k, v, 2) * w), theta, eps=1e-5)
         assert err < 1e-6
 
     def test_fully_masked_row_raises(self):
@@ -299,7 +302,7 @@ class TestSublayers:
             for _ in range(2):
                 h = attend(x, *attn_args)
                 y = ffn(h, *ffn_args)
-                T.tsum(y * typed(rng.normal(size=(t, width)), dtype, grad=False)).backward()
+                total(y * typed(rng.normal(size=(t, width)), dtype, grad=False)).backward()
                 with T.no_grad():
                     values += [h.data, y.data, ffn(attend(x, *attn_args), *ffn_args).data]
             return values + [p.grad for p in [x, *_leaves(attn_args), *_leaves(ffn_args)]]
@@ -372,7 +375,7 @@ class TestAttentionStacks:
                 for y in (T.multi_head_attention(q, k, v, heads), T.attention_sublayer(x, *attn_args)):
                     values.append(y.data)
                     if record:
-                        T.tsum(y * weight).backward()
+                        total(y * weight).backward()
             if record:
                 values += [p.grad for p in [q, k, v, x, *_leaves(attn_args)]]
             return values
@@ -419,7 +422,7 @@ def _guard_cases():
     return [
         ("linear-1d", lambda: T.linear(z(4), z(4, 4)),
          lambda: T.ffn_sublayer(tt(rng.normal(size=4)), *ffn_args), "2-D operands"),
-        ("linear-1d-exact", lambda: T.matmul(z(3, 4), z(4)),
+        ("linear-1d-exact", lambda: T.linear(z(3, 4), z(4)),
          lambda: T.attention_sublayer(tt(rng.normal(size=4)), *exact_args), "2-D operands"),
         ("linear-rows", lambda: T.linear(z(3, 4), z(3, 4)),
          lambda: T.ffn_sublayer(x, ln_gain, ln_bias, bad_rows, ffn_out), r"mismatch: \(3, 4\) @ \(3, 4\)"),
@@ -498,7 +501,7 @@ class TestStraightThrough:
     def test_gradient_routes_to_surrogate_only(self):
         hard = tt([1.0, 2.0])
         soft = tt([3.0, 4.0])
-        loss = T.tsum(T.straight_through(hard, soft) * tt([5.0, 7.0], grad=False))
+        loss = total(T.straight_through(hard, soft) * tt([5.0, 7.0], grad=False))
         loss.backward()
         assert hard.grad is None
         assert soft.grad.tolist() == [5.0, 7.0]
@@ -544,7 +547,7 @@ class TestGradientBookkeeping:
     def test_size_one_axis_gradient_sums_over_that_axis(self):
         rng = np.random.default_rng(0)
         x, row, col = tt(rng.normal(size=(4, 3))), tt(rng.normal(size=(1, 3))), tt(rng.normal(size=(4, 1)))
-        T.tsum((x + row) * col).backward()
+        total((x + row) * col).backward()
         assert row.grad.shape == (1, 3) and col.grad.shape == (4, 1)
         assert np.allclose(row.grad, col.data.sum() * np.ones((1, 3)))
         assert np.allclose(col.grad, (x.data + row.data).sum(axis=1, keepdims=True))
@@ -555,7 +558,7 @@ class TestGradientBookkeeping:
         try:
             y = T.softmax(x * x)
             probe = weakref.ref(y.data)
-            z = T.tsum(y * y)
+            z = total(y * y)
             z.backward()
             del y, z
             assert probe() is None
@@ -628,9 +631,15 @@ def _random_tree_sentence(rng: np.random.Generator, n: int, vocab: Vocab) -> Sen
 
 
 class TestBackwardConsumesGraph:
+    def test_non_scalar_output_rejected(self):
+        x = tt([1.0, 2.0])
+        with pytest.raises(ValueError, match="scalar output"):
+            (x * x).backward()
+        assert x.grad is None
+
     def test_second_backward_raises(self):
         x = tt([1.0, 2.0])
-        loss = T.tsum(x * x)
+        loss = total(x * x)
         loss.backward()
         with pytest.raises(RuntimeError, match="consumed"):
             loss.backward()
@@ -639,8 +648,8 @@ class TestBackwardConsumesGraph:
     def test_new_loss_over_a_consumed_node_raises_before_any_gradient(self):
         x, w = tt([1.0, 2.0]), tt([3.0, 5.0])
         y = x * x
-        T.tsum(y).backward()
-        loss = T.tsum(y * w)
+        total(y).backward()
+        loss = total(y * w)
         with pytest.raises(RuntimeError, match="consumed"):
             loss.backward()
         assert w.grad is None and x.grad.tolist() == [2.0, 4.0]
@@ -648,11 +657,11 @@ class TestBackwardConsumesGraph:
     def test_held_interior_tensor_keeps_its_gradient(self):
         x = tt([0.5, -1.0, 2.0])
         y = x * x
-        loss = T.tsum(y * y)
+        loss = total(y * y)
         loss.backward()
         assert y.grad.tolist() == [0.5, 2.0, 8.0]  # 2 y
         assert x.grad.tolist() == [0.5, -4.0, 32.0]  # 4 x^3
-        assert loss.grad.tolist() == 1.0
+        assert loss.grad.tolist() == [[1.0]]
         assert y._prev == () and loss._prev == ()
 
     def test_unheld_intermediate_freed_before_backward_returns(self):
@@ -661,7 +670,7 @@ class TestBackwardConsumesGraph:
         try:
             y = T.softmax(x * x)
             probe = weakref.ref(y.data)
-            loss = T.tsum(y * y)
+            loss = total(y * y)
             del y
             loss.backward()
             assert probe() is None
@@ -768,7 +777,7 @@ def _graph_arrays(root: Tensor) -> list[np.ndarray]:
 class TestGradCheckHarness:
     def test_quadratic(self):
         x = tt([3.0])
-        err = grad_check(lambda: T.tsum(x * x), x, eps=1e-5)
+        err = grad_check(lambda: total(x * x), x, eps=1e-5)
         assert err < 1e-8
 
     def test_softmax_cross_entropy(self):
@@ -783,13 +792,13 @@ class TestGradCheckHarness:
         # difference is 2/3, its autodiff gradient 1
         x = tt([1e-5 / 3, 1.0])
         kinks = []
-        assert grad_check(lambda: T.tsum(T.relu(x)), x, eps=1e-5, kinks=kinks) < 1e-8
+        assert grad_check(lambda: total(T.relu(x)), x, eps=1e-5, kinks=kinks) < 1e-8
         assert kinks == [0]
 
     def test_curvature_is_not_a_kink(self):
         x = tt([0.5, -2.0])
         kinks = []
-        assert grad_check(lambda: T.tsum(x * x * x), x, eps=1e-5, kinks=kinks) < 1e-8
+        assert grad_check(lambda: total(x * x * x), x, eps=1e-5, kinks=kinks) < 1e-8
         assert kinks == []
 
     def test_nonfinite_rejected(self):
@@ -803,10 +812,20 @@ class TestGradCheckHarness:
         with pytest.raises(ValueError):
             grad_check(f, x)
 
+    def test_nonfinite_under_perturbation_rejected(self):
+        x = tt([1.0])
+
+        def f():  # finite at x = 1 only
+            return total(x * x) * (1.0 if x.data[0] == 1.0 else np.inf)
+
+        with pytest.raises(ValueError, match="non-finite under perturbation"):
+            grad_check(f, x)
+        assert x.data.tolist() == [1.0]
+
     def test_eps_range_enforced(self):
         x = tt([1.0])
         with pytest.raises(ValueError):
-            grad_check(lambda: T.tsum(x * x), x, eps=1e-2)
+            grad_check(lambda: total(x * x), x, eps=1e-2)
 
 
 def _gradcheck_cases():
@@ -820,53 +839,51 @@ def _gradcheck_cases():
     for i in range(4):
         m, k, n = rng.integers(2, 6, size=3)
         a, b = rand(m, k), rand(k, n)
-        cases.append((f"matmul/{i}", a, lambda a=a, b=b: T.tsum(T.matmul(a, b) * T.matmul(a, b))))
-        cases.append((f"matmul-rhs/{i}", b, lambda a=a, b=b: T.tsum(T.matmul(a, b))))
+        cases.append((f"matmul/{i}", a, lambda a=a, b=b: total(T.linear(a, b) * T.linear(a, b))))
+        cases.append((f"matmul-rhs/{i}", b, lambda a=a, b=b: total(T.linear(a, b))))
     for i in range(2):
         p, d, r = 3, 3, 2
         H, w, M = rand(p, d), rand(d, r, d), rand(p, d)
-        cases.append((f"pairwise/{i}", w, lambda H=H, w=w, M=M: T.tsum(T.pairwise_bilinear(H, w, M) * T.pairwise_bilinear(H, w, M))))
-        cases.append((f"paired/{i}", H, lambda H=H, w=w, M=M: T.tsum(T.paired_bilinear(H, w, M))))
+        cases.append((f"pairwise/{i}", w, lambda H=H, w=w, M=M: total(T.pairwise_bilinear(H, w, M) * T.pairwise_bilinear(H, w, M))))
+        cases.append((f"paired/{i}", H, lambda H=H, w=w, M=M: total(T.paired_bilinear(H, w, M))))
     for i in range(4):
         x = rand(int(rng.integers(2, 5)), int(rng.integers(2, 6)))
-        cases.append((f"softmax/{i}", x, lambda x=x: T.tsum(T.softmax(x, axis=-1) * T.softmax(x, axis=-1))))
-        cases.append((f"relu/{i}", x, lambda x=x: T.tsum(T.relu(x))))
-        cases.append((f"sum-axis/{i}", x, lambda x=x: T.tsum(T.tsum(x, axis=0) * T.tsum(x, axis=0))))
+        cases.append((f"softmax/{i}", x, lambda x=x: total(T.softmax(x, axis=-1) * T.softmax(x, axis=-1))))
+        cases.append((f"relu/{i}", x, lambda x=x: total(T.relu(x))))
     for i in range(3):
         x = rand(3, int(rng.integers(4, 9)))
         g, b = rand(x.data.shape[1]), rand(x.data.shape[1])
-        cases.append((f"layernorm-x/{i}", x, lambda x=x, g=g, b=b: T.tsum(T.layer_norm(x, g, b) * T.layer_norm(x, g, b))))
-        cases.append((f"layernorm-gain/{i}", g, lambda x=x, g=g, b=b: T.tsum(T.layer_norm(x, g, b))))
-        cases.append((f"layernorm-bias/{i}", b, lambda x=x, g=g, b=b: T.tsum(T.layer_norm(x, g, b) * T.layer_norm(x, g, b))))
+        cases.append((f"layernorm-x/{i}", x, lambda x=x, g=g, b=b: total(T.layer_norm(x, g, b) * T.layer_norm(x, g, b))))
+        cases.append((f"layernorm-gain/{i}", g, lambda x=x, g=g, b=b: total(T.layer_norm(x, g, b))))
+        cases.append((f"layernorm-bias/{i}", b, lambda x=x, g=g, b=b: total(T.layer_norm(x, g, b) * T.layer_norm(x, g, b))))
     for i in range(2):
         x = rand(4, 3)
-        cases.append((f"add-broadcast/{i}", x, lambda x=x, b=rand(3): T.tsum((x + b) * (x + b))))
-        cases.append((f"mul/{i}", x, lambda x=x, y=rand(4, 3): T.tsum(x * y * x)))
-        cases.append((f"neg/{i}", x, lambda x=x: T.tsum(-x * x)))
-        cases.append((f"transpose/{i}", x, lambda x=x: T.tsum(T.matmul(x.T, x))))
-        cases.append((f"reshape/{i}", x, lambda x=x: T.tsum(x.reshape(2, 6) * x.reshape(2, 6))))
-        cases.append((f"narrow/{i}", x, lambda x=x: T.tsum(T.narrow(x, 0, 1, 2) * T.narrow(x, 0, 1, 2))))
-        cases.append((f"concat/{i}", x, lambda x=x, y=rand(2, 3): T.tsum(T.concat([x, y], axis=0) * T.concat([x, y], axis=0))))
+        cases.append((f"add-broadcast/{i}", x, lambda x=x, b=rand(3): total((x + b) * (x + b))))
+        cases.append((f"mul/{i}", x, lambda x=x, y=rand(4, 3): total(x * y * x)))
+        cases.append((f"transpose/{i}", x, lambda x=x: total(T.linear(T.transpose(x), x))))
+        cases.append((f"reshape/{i}", x, lambda x=x: total(x.reshape(2, 6) * x.reshape(2, 6))))
+        cases.append((f"narrow/{i}", x, lambda x=x: total(T.narrow(x, 0, 1, 2) * T.narrow(x, 0, 1, 2))))
+        cases.append((f"concat/{i}", x, lambda x=x, y=rand(2, 3): total(T.concat([x, y], axis=0) * T.concat([x, y], axis=0))))
     table = rand(6, 3)
-    cases.append(("gather", table, lambda t=table: T.tsum(T.embedding_gather(t, [0, 2, 2, 5]) * T.embedding_gather(t, [0, 2, 2, 5]))))
+    cases.append(("gather", table, lambda t=table: total(T.embedding_gather(t, [0, 2, 2, 5]) * T.embedding_gather(t, [0, 2, 2, 5]))))
     base, rows = rand(5, 3), rand(2, 3)
-    cases.append(("scatter-base", base, lambda b=base, r=rows: T.tsum(T.row_scatter(b, [1, 3], r) * T.row_scatter(b, [1, 3], r))))
-    cases.append(("scatter-rows", rows, lambda b=base, r=rows: T.tsum(T.row_scatter(b, [1, 3], r) * T.row_scatter(b, [1, 3], r))))
+    cases.append(("scatter-base", base, lambda b=base, r=rows: total(T.row_scatter(b, [1, 3], r) * T.row_scatter(b, [1, 3], r))))
+    cases.append(("scatter-rows", rows, lambda b=base, r=rows: total(T.row_scatter(b, [1, 3], r) * T.row_scatter(b, [1, 3], r))))
     logits = rand(4, 5)
     cases.append(("cross-entropy", logits, lambda l=logits: T.cross_entropy_from_logits(l, [1, 0, 4, 2])))
     x = rand(3, 4)
     mask = (np.random.default_rng(14).random((3, 4)) >= 0.4) / 0.6
-    cases.append(("dropout-fixed-mask", x, lambda x=x, m=tt(mask, grad=False): T.tsum(x * m * x)))
+    cases.append(("dropout-fixed-mask", x, lambda x=x, m=tt(mask, grad=False): total(x * m * x)))
     # rectangular shapes (p != q, a != b), every operand checked
     H, w, M = rand(4, 3), rand(3, 2, 5), rand(6, 5)
     for name, theta in (("H", H), ("t", w), ("M", M)):
-        cases.append((f"pairwise-rect-{name}", theta, lambda H=H, w=w, M=M: T.tsum(T.pairwise_bilinear(H, w, M) * T.pairwise_bilinear(H, w, M))))
+        cases.append((f"pairwise-rect-{name}", theta, lambda H=H, w=w, M=M: total(T.pairwise_bilinear(H, w, M) * T.pairwise_bilinear(H, w, M))))
     H, w, M = rand(4, 3), rand(3, 2, 5), rand(4, 5)
     for name, theta in (("H", H), ("t", w), ("M", M)):
-        cases.append((f"paired-rect-{name}", theta, lambda H=H, w=w, M=M: T.tsum(T.paired_bilinear(H, w, M) * T.paired_bilinear(H, w, M))))
+        cases.append((f"paired-rect-{name}", theta, lambda H=H, w=w, M=M: total(T.paired_bilinear(H, w, M) * T.paired_bilinear(H, w, M))))
     P, V = rand(3, 4), rand(16, 2)
     for name, theta in (("probs", P), ("v", V)):
-        cases.append((f"arc-expectation-{name}", theta, lambda P=P, V=V: T.tsum(T.arc_expectation(P, V) * T.arc_expectation(P, V))))
+        cases.append((f"arc-expectation-{name}", theta, lambda P=P, V=V: total(T.arc_expectation(P, V) * T.arc_expectation(P, V))))
     return cases
 
 
@@ -883,28 +900,28 @@ def _op_family_case(op, rng):
     if op == "matmul":
         m, k, n = rng.integers(2, 7, size=3)
         a, b = rand(m, k), rand(k, n)
-        return a, lambda: T.tsum(T.matmul(a, b) * T.matmul(a, b))
+        return a, lambda: total(T.linear(a, b) * T.linear(a, b))
     if op == "pairwise_bilinear":
         p, q, d, r = (int(rng.integers(2, 5)) for _ in range(4))
         H, w, M = rand(p, d), rand(d, r, d), rand(q, d)
         theta = [H, w, M][int(rng.integers(3))]
-        return theta, lambda: T.tsum(T.pairwise_bilinear(H, w, M) * T.pairwise_bilinear(H, w, M))
+        return theta, lambda: total(T.pairwise_bilinear(H, w, M) * T.pairwise_bilinear(H, w, M))
     if op == "paired_bilinear":
         t, d, c = (int(rng.integers(2, 5)) for _ in range(3))
         H, w, M = rand(t, d), rand(d, c, d), rand(t, d)
         theta = [H, w, M][int(rng.integers(3))]
-        return theta, lambda: T.tsum(T.paired_bilinear(H, w, M) * T.paired_bilinear(H, w, M))
+        return theta, lambda: total(T.paired_bilinear(H, w, M) * T.paired_bilinear(H, w, M))
     if op == "softmax":
         x = rand(int(rng.integers(2, 6)), int(rng.integers(2, 7)))
-        return x, lambda: T.tsum(T.softmax(x, axis=-1) * T.softmax(x, axis=-1))
+        return x, lambda: total(T.softmax(x, axis=-1) * T.softmax(x, axis=-1))
     if op == "relu":
         x = rand(int(rng.integers(2, 6)), int(rng.integers(2, 7)))
-        return x, lambda: T.tsum(T.relu(x) * T.relu(x))
+        return x, lambda: total(T.relu(x) * T.relu(x))
     if op == "layer_norm":
         x = rand(int(rng.integers(2, 5)), int(rng.integers(3, 9)))
         g, b = rand(x.data.shape[1]), rand(x.data.shape[1])
         theta = [x, g, b][int(rng.integers(3))]
-        return theta, lambda: T.tsum(T.layer_norm(x, g, b) * T.layer_norm(x, g, b))
+        return theta, lambda: total(T.layer_norm(x, g, b) * T.layer_norm(x, g, b))
     if op == "cross_entropy":
         t, c = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         logits = rand(t, c)
@@ -914,14 +931,17 @@ def _op_family_case(op, rng):
         base, rows = rand(int(rng.integers(4, 8)), 3), rand(2, 3)
         ids = rng.choice(base.data.shape[0], size=2, replace=False)
         theta = [base, rows][int(rng.integers(2))]
-        return theta, lambda: T.tsum(T.row_scatter(base, ids, rows) * T.row_scatter(base, ids, rows))
+        return theta, lambda: total(T.row_scatter(base, ids, rows) * T.row_scatter(base, ids, rows))
     if op == "reductions":
+        # backward sums a broadcast operand's gradient over its size-1 axis
         x = rand(int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-        ax = int(rng.integers(2))
-        return x, lambda: T.tsum(T.tsum(x, axis=ax) * T.tsum(x, axis=ax))
+        shape = list(x.data.shape)
+        shape[int(rng.integers(2))] = 1
+        b = rand(*shape)
+        return b, lambda: total((x + b) * (x + b))
     if op == "elementwise":
         x, y = rand(3, 4), rand(3, 4)
-        return x, lambda: T.tsum((x + y) * (-x) * y)
+        return x, lambda: total((x + y) * (x * -1.0) * y)
     raise ValueError(op)
 
 
@@ -939,3 +959,44 @@ def test_gradcheck_twenty_random_shapes(op):
         theta, f = _op_family_case(op, rng)
         err = grad_check(f, theta, eps=1e-5, max_coords=8, rng=rng)
         assert err < 1e-6, f"{op} seed {seed}: {err}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the chains of elementary ops that TestSublayers compares the sublayer nodes against
+TEST_REFERENCES = {"layer_norm", "multi_head_attention"}
+# Tensor's methods: the parser calls each one, __add__ and __mul__ through + and *
+TENSOR_METHODS = {"__init__", "_from_op", "item", "backward", "__add__", "__mul__", "reshape"}
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name that ``tree`` mentions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+class TestEngineSurface:
+    """The engine keeps only what the parser or the benchmark calls."""
+
+    engine = ast.parse((ROOT / "src" / "arcforge" / "tensor.py").read_text(encoding="utf-8"))
+    tensor_class = next(node for node in engine.body if isinstance(node, ast.ClassDef) and node.name == "Tensor")
+
+    def test_tensor_methods_are_pinned(self):
+        methods = {node.name for node in self.tensor_class.body if isinstance(node, ast.FunctionDef)}
+        assert methods == TENSOR_METHODS
+
+    def test_every_public_function_has_a_caller(self):
+        callers = [path for path in (ROOT / "src" / "arcforge").glob("*.py") if path.name != "tensor.py"]
+        callers += list((ROOT / "bench").glob("*.py"))
+        named = set().union(*(_identifiers(ast.parse(path.read_text(encoding="utf-8"))) for path in callers))
+        named |= TEST_REFERENCES.union(*(_identifiers(node) for node in self.tensor_class.body
+                                          if isinstance(node, ast.FunctionDef) and node.name in TENSOR_METHODS))
+        public = [node.name for node in self.engine.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        assert [name for name in public if name not in named] == []

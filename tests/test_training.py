@@ -140,6 +140,15 @@ class TestAdam:
         assert opt.step({"main": 0.1}) is False
         assert p.data[0] == 1.0
 
+    def test_parameter_without_gradient_left_unchanged(self):
+        a, b = tt([0.1, -2.0]), tt([1.0])
+        before = a.data.tobytes()
+        opt = Adam({"main": [("a", a), ("b", b)]})
+        b.grad = np.array([1.0])
+        assert opt.step({"main": 0.5}) is True
+        assert a.data.tobytes() == before
+        assert b.data[0] != 1.0
+
     def test_two_groups_use_their_own_lr(self):
         a, b = tt([1.0]), tt([1.0])
         opt = Adam({"main": [("a", a)], "transformer": [("b", b)]})
