@@ -12,11 +12,20 @@ from __future__ import annotations
 import gc
 import re
 from dataclasses import dataclass, field
-from sys import intern
 
 from .decoders import check_tree
 
 _SKIPPED_ID = re.compile(r"\d+-\d+|\d+\.\d+")  # multiword-token ranges and empty nodes
+_BREAK = re.compile(r"\n\r?\n")  # a line end followed by a blank or CR-only line
+
+
+class _Ints(dict):
+    """``int()`` of each distinct string, converted once: a read repeats a
+    few id and HEAD strings, and calling int() on each took a fifth of its time."""
+
+    def __missing__(self, s: str) -> int:
+        self[s] = value = int(s)
+        return value
 
 
 class ConlluError(ValueError):
@@ -27,9 +36,9 @@ class ConlluError(ValueError):
 
 @dataclass(slots=True)
 class Token:
-    """One word. Slotted, and ``parse_conllu`` interns ``upos`` and
-    ``gold_label``, whose inventories are tiny, so a read corpus holds one
-    small object and one fresh string (the form) per word."""
+    """One word. Slotted, and ``parse_conllu`` gives every equal FORM, UPOS
+    and DEPREL one shared string, so a read corpus holds one small object
+    per word and one string per distinct form, tag and label."""
 
     form: str
     upos: str
@@ -37,7 +46,7 @@ class Token:
     gold_label: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Sentence:
     """Tokens at positions 1..n; the dummy root at position 0 is implicit."""
 
@@ -58,10 +67,13 @@ class Sentence:
 def parse_conllu(text: str) -> list[Sentence]:
     """Sentences of a CoNLL-U text; raises ``ConlluError`` at the first bad line.
 
-    The cyclic garbage collector is paused while reading, since the reader
-    makes no reference cycles and its per-word allocations would otherwise
-    trigger repeated collections over a growing heap; the caller's
-    collector state is restored on return and on error."""
+    The text is split one sentence block at a time, so no list of all its
+    lines is ever held, and equal FORM, UPOS and DEPREL values share one
+    string through a table local to the read, so the read's peak memory is
+    what it keeps. The cyclic garbage collector is paused while reading,
+    since the reader makes no reference cycles and its per-word allocations
+    would otherwise trigger repeated collections over a growing heap; the
+    caller's collector state is restored on return and on error."""
     if not gc.isenabled():
         return _parse_conllu(text)
     gc.disable()
@@ -75,6 +87,8 @@ def _parse_conllu(text: str) -> list[Sentence]:
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     token_lines: list[int] = []
+    share = {}.setdefault  # one string per distinct FORM, UPOS and DEPREL
+    ints = _Ints()
 
     def flush():
         nonlocal tokens, token_lines
@@ -92,45 +106,58 @@ def _parse_conllu(text: str) -> list[Sentence]:
         sentences.append(Sentence(tokens))
         tokens, token_lines = [], []
 
+    # A block is the lines up to the next blank ("\n\n") or CR-only
+    # ("\n\r\n") line, the break that ends its sentence.
     # Dropping the CR of each CRLF line end lets those word lines take the
     # fast path; the general path strips CRs anyway, and line numbers stay.
-    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
-        cols = line.split("\t")
-        tok_id = cols[0]
-        # An ordinary word line (at least 8 tab-separated columns, an all-digit
-        # id, no CR at its end) needs none of the checks below: it is not blank,
-        # not a comment, not a range or empty node, and has no CR to strip.
-        if not (len(cols) >= 8 and tok_id.isdigit() and line[-1] != "\r"):
-            line = line.strip("\r")
-            if not line.strip():
-                flush()
-                continue
-            if line.lstrip().startswith("#"):
-                continue
+    crlf = "\r" in text
+    pos = lineno = 0
+    while True:
+        brk = _BREAK.search(text, pos)
+        block = text[pos:brk.start() if brk else len(text)]
+        if crlf:
+            block = block.replace("\r\n", "\n")
+        for lineno, line in enumerate(block.split("\n"), start=lineno + 1):
             cols = line.split("\t")
-            if len(cols) < 8:
-                cols = line.split()
-            if len(cols) < 8:
-                raise ConlluError(f"expected at least 8 columns, got {len(cols)}", lineno)
             tok_id = cols[0]
-            if _SKIPPED_ID.fullmatch(tok_id):
-                continue
-        try:
-            tok_id = int(tok_id)
-        except ValueError:
-            raise ConlluError(f"bad token id {tok_id!r}", lineno) from None
-        if tok_id != len(tokens) + 1:
-            raise ConlluError(f"token id {tok_id} where {len(tokens) + 1} was expected", lineno)
-        try:
-            head = int(cols[6])
-        except ValueError:
-            raise ConlluError(f"non-integer HEAD {cols[6]!r}", lineno) from None
-        if head < 0:
-            raise ConlluError(f"negative HEAD {head}", lineno)
-        tokens.append(Token(cols[1], intern(cols[3]), head, intern(cols[7])))
-        token_lines.append(lineno)
-    flush()
-    return sentences
+            # An ordinary word line (at least 8 tab-separated columns, an all-digit
+            # id, no CR at its end) needs none of the checks below: it is not blank,
+            # not a comment, not a range or empty node, and has no CR to strip.
+            if not (len(cols) >= 8 and tok_id.isdigit() and line[-1] != "\r"):
+                line = line.strip("\r")
+                if not line.strip():
+                    flush()
+                    continue
+                if line.lstrip().startswith("#"):
+                    continue
+                cols = line.split("\t")
+                if len(cols) < 8:
+                    cols = line.split()
+                if len(cols) < 8:
+                    raise ConlluError(f"expected at least 8 columns, got {len(cols)}", lineno)
+                tok_id = cols[0]
+                if _SKIPPED_ID.fullmatch(tok_id):
+                    continue
+            try:
+                tok_id = ints[tok_id]
+            except ValueError:
+                raise ConlluError(f"bad token id {tok_id!r}", lineno) from None
+            if tok_id != len(tokens) + 1:
+                raise ConlluError(f"token id {tok_id} where {len(tokens) + 1} was expected", lineno)
+            try:
+                head = ints[cols[6]]
+            except ValueError:
+                raise ConlluError(f"non-integer HEAD {cols[6]!r}", lineno) from None
+            if head < 0:
+                raise ConlluError(f"negative HEAD {head}", lineno)
+            form, upos, label = cols[1], cols[3], cols[7]
+            tokens.append(Token(share(form, form), share(upos, upos), head, share(label, label)))
+            token_lines.append(lineno)
+        flush()
+        if brk is None:
+            return sentences
+        lineno += 1  # the break's own line
+        pos = brk.end()
 
 
 def write_conllu(sentences: list[Sentence], predictions: list[tuple[list[int], list[str]]] | None = None) -> str:

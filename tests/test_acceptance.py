@@ -30,7 +30,6 @@ from arcforge.training import (
 from scalarloss import total
 from test_tensor import _gradcheck_cases
 from test_training import run_swa_and_check_means
-from toygrammar import make_corpus
 from treeoracle import brute_force_best_tree, tree_score
 
 

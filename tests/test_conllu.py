@@ -1,7 +1,9 @@
 """CoNLL-U parsing, writing, and vocabulary tests."""
 
 import gc
+import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -264,6 +266,13 @@ class TestParse:
     @example("1\tdog\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\r\n2\truns\t_\tVERB\t_\t_\t0\troot\t_\t_\r\n")
     @example("1\ta\t_\tX\t_\t_\t2\tdep\t_\t_\n2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n")
     @example("1\ta\t_\tX\t_\t_\t_\t_\t_\t_\n")  # unannotated: both readers reject HEAD "_"
+    # sentence breaks the block loop must see
+    @example(TWO_TOKENS.replace("\n", "\r\n") + "\r\n" + TWO_TOKENS.replace("\n", "\r\n"))
+    @example("\n\n\r\n" + TWO_TOKENS + "\n\n\n" + TWO_TOKENS)
+    @example(TWO_TOKENS + " \t\n" + TWO_TOKENS + "\u2028\n" + TWO_TOKENS)
+    @example(TWO_TOKENS + "\n" + TWO_TOKENS.rstrip("\n"))
+    @example(TWO_TOKENS + "\n" + TWO_TOKENS.replace("runs", "runs\r").rstrip("\n") + "\r")
+    @example("\r\n\r\n1\ta\t_\tX\t_\t_\t5\tdep\t_\t_\r\n")
     def test_same_result_as_reference(self, text):
         try:
             want = reference_parse_conllu(text)
@@ -276,7 +285,7 @@ class TestParse:
         assert _fields(got) == _fields(want)
         tokens = [t for s in got for t in s.tokens]
         assert all(type(t.gold_head) is int for t in tokens)
-        for values in ([t.upos for t in tokens], [t.gold_label for t in tokens]):
+        for values in ([t.form for t in tokens], [t.upos for t in tokens], [t.gold_label for t in tokens]):
             first = {}
             assert all(first.setdefault(v, v) is v for v in values)
 
@@ -302,12 +311,38 @@ class TestParse:
 
     def test_tokens_are_slotted_and_share_tag_strings(self):
         text = "\n".join([TWO_TOKENS, TWO_TOKENS.replace("\n", "\r\n"), FRENCH_MWT])
-        tokens = [t for s in parse_conllu(text) for t in s.tokens]
-        assert not any(hasattr(t, "__dict__") for t in tokens)
+        sents = parse_conllu(text)
+        tokens = [t for s in sents for t in s.tokens]
+        assert not any(hasattr(x, "__dict__") for x in sents + tokens)
+        dogs = [t.form for t in tokens if t.form == "dog"]
         nouns = [t.upos for t in tokens if t.upos == "NOUN"]
         roots = [t.gold_label for t in tokens if t.gold_label == "root"]
-        assert len(nouns) == 3 and len(roots) == 3
-        assert all(u is nouns[0] for u in nouns) and all(r is roots[0] for r in roots)
+        assert len(dogs) == 2 and len(nouns) == 3 and len(roots) == 3
+        for shared in (dogs, nouns, roots):
+            assert all(v is shared[0] for v in shared)
+
+    def test_read_peaks_at_what_it_keeps(self):
+        # 300 sentences over 40 forms: a reader that holds all the text's
+        # lines at once peaks at 1.6x what it keeps, and one that keeps a
+        # fresh string per word holds 40 forms in many objects
+        rng = random.Random(0)
+        blocks = []
+        for _ in range(300):
+            n = rng.randint(5, 30)
+            blocks.append("\n".join(
+                f"{i}\tw{rng.randrange(40)}\t_\tNOUN\t_\t_\t{0 if i == 1 else rng.randrange(1, i)}\tdep\t_\t_"
+                for i in range(1, n + 1)))
+        text = "\n\n".join(blocks) + "\n"
+        tracemalloc.start()
+        try:
+            sents = parse_conllu(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * kept, (peak, kept)
+        forms = {}
+        assert all(forms.setdefault(t.form, t.form) is t.form for s in sents for t in s.tokens)
+        assert len(forms) == 40
 
 
 class TestCheckTree:

@@ -1,6 +1,5 @@
 """UAS/LAS and filter-oracle metric tests."""
 
-import numpy as np
 import pytest
 
 from arcforge.conllu import parse_conllu

@@ -8,14 +8,13 @@ import pytest
 from arcforge.conllu import Sentence, Token
 from arcforge.decoders import cle, is_projective
 from arcforge.model import (
-    ArcLocModel,
     ModelConfig,
     build_model,
     load_checkpoint,
     save_checkpoint,
 )
 from arcforge.refiner import num_heads
-from arcforge.training import TrainConfig, sentence_loss
+from arcforge.training import TrainConfig
 from scalarloss import total
 from treeoracle import is_single_root_tree
 

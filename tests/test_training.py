@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcforge.conllu import Sentence, Token, build_vocab
+from arcforge.conllu import Sentence, Token
 from arcforge.model import ModelConfig, build_model
 from arcforge.tensor import Tensor, grad_check
 from arcforge.training import (
