@@ -40,7 +40,7 @@ def reset_attention_entry_count() -> None:
 
 
 def attention_entry_count() -> int:
-    """Attention score elements allocated since the last reset."""
+    """Attention score elements computed since the last reset."""
     return _attn_score_entries
 
 

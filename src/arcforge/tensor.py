@@ -18,9 +18,10 @@ gradient-checked.
 Each pre-norm transformer sublayer is one node (``attention_sublayer``,
 ``ffn_sublayer``). It runs the numpy bodies that its chain of elementary
 ops runs, shared with those ops, so its values and gradients are bitwise
-the chain's, and it keeps fewer arrays for backward than the chain. No
-attention node keeps a t x t array: backward rebuilds each head's scores
-from the saved row maxima, trading a second score pass for memory.
+the chain's, and it keeps fewer arrays for backward than the chain.
+Attention allocates no t x t array: it computes its scores a tile of
+rows at a time, and backward rebuilds each tile's scores from the saved
+stacks, trading a second score pass for memory.
 
 An op's output, and any constant it lifts, takes its operands' dtype,
 float32 or float64.
@@ -342,14 +343,34 @@ def _attention_scale(dk: int, dtype) -> np.ndarray:
     return np.asarray(1.0 / math.sqrt(dk), dtype=dtype)
 
 
+# Score entries of one row tile, all heads together: attention computes
+# its t x t scores a tile of rows at a time, and a tile of 2**15 float64
+# entries (256 KiB) stays in a 2 MiB L2 cache with its operands, as do
+# the two tiles of backward.
+TILE_ENTRIES = 2 ** 15
+
+# A head whose scores all lie in [-B, B] is exponentiated without the
+# row-max shift. Cauchy-Schwarz bounds its scores by max |q~_i| max |k_j|
+# (q~ = q / sqrt(dk)). With B = 32, e^B < 8e13 and e^-B > 1e-14, so no
+# entry of e underflows, even to a subnormal (float32's smallest normal
+# is 1.2e-38), and the row sums e @ [v | 1] and the backward's products
+# with g / s reach e^B t |v| and e^B |g| |v| dk, which stay below
+# float32's 3.4e38 while t |v| and |g| |v| dk stay below 4e24: activations
+# out of a layer norm and a projection are nowhere near. No head of the
+# benchmark's arcloc workloads (seed 3) bounds its scores by more than 11.
+SHIFT_FREE_BOUND = 32.0
+
+
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
                        saved: list | None) -> np.ndarray:
-    """Every head's softmax(q_h @ k_h.T / sqrt(dk)) @ v_h, with the late
-    normalization and the stacks ``multi_head_attention`` describes. One
-    t x t scratch array serves every head. When ``saved`` is a list, each
-    head appends what ``_attention_backward`` reads, as views of the
-    stacks: the scaled q block, k's block transposed, v's block, and the
-    row maxima m and row sums s of its exponentiated scores."""
+    """Every head's softmax(q_h @ k_h.T / sqrt(dk)) @ v_h, a tile of rows
+    at a time, with the late normalization, the row-max shift only where
+    a head needs it, and the stacks that ``multi_head_attention``
+    describes. When ``saved`` is a list, the call appends what
+    ``_attention_backward`` reads: the stacks of scaled q, k.T and
+    [v | 1], the row maxima m (None when no head is shifted; rows of the
+    heads not shifted are unset), the row sums s, and the indices of the
+    shifted heads."""
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
         raise ValueError(f"attention expects equal 2-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
     t, width = q.shape
@@ -357,60 +378,101 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
         raise ValueError(f"head count {heads} does not divide width {width}")
     dk = width // heads
     scale = _attention_scale(dk, q.dtype)
-    # contiguous copies: BLAS rounds strided views differently
-    qs = (q * scale).reshape(t, heads, dk).transpose(1, 0, 2).copy()
-    kts = k.T.copy()
-    vs = v.reshape(t, heads, dk).transpose(1, 0, 2).copy()
+    # contiguous stacks: BLAS rounds strided views differently
+    qs = np.multiply(q.reshape(t, heads, dk).transpose(1, 0, 2), scale,
+                     out=np.empty((heads, t, dk), dtype=q.dtype))
+    kts = k.reshape(t, heads, dk).transpose(1, 2, 0).copy()
+    vs = np.empty((heads, t, dk + 1), dtype=v.dtype)
+    vs[:, :, :dk] = v.reshape(t, heads, dk).transpose(1, 0, 2)
+    vs[:, :, dk] = 1
+    # each head's bound, squared; an inf or NaN bound fails the test and
+    # takes the shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = (np.einsum("htd,htd->ht", qs, qs).max(axis=1)
+                  * np.einsum("hdt,hdt->ht", kts, kts).max(axis=1)).tolist()
+    shifted = [h for h, b in enumerate(bounds) if not b <= SHIFT_FREE_BOUND ** 2]
     out = np.empty((t, width), dtype=np.result_type(q, v))
-    e = np.empty((t, t), dtype=np.result_type(q, k))
-    ms, ss = np.empty((2, heads, t, 1), dtype=e.dtype)  # row maxima and sums
-    for h in range(heads):
-        sl = slice(h * dk, (h + 1) * dk)
-        qh, kt, vh, m, s, oh = qs[h], kts[sl], vs[h], ms[h], ss[h], out[:, sl]
-        np.matmul(qh, kt, out=e)
-        np.maximum.reduce(e, axis=-1, keepdims=True, out=m)
-        if np.fmin.reduce(m, axis=None) == -np.inf:  # fmin passes over NaN rows
-            raise ValueError("softmax over a fully masked (all -inf) slice")
-        e -= m
-        np.exp(e, out=e)
-        np.add.reduce(e, axis=-1, keepdims=True, out=s)
-        np.matmul(e, vh, out=oh)
-        oh /= s
-        if saved is not None:
-            saved.append((qh, kt, vh, m, s))
+    out_heads = out.reshape(t, heads, dk).transpose(1, 0, 2)
+    rows = _tile_rows(heads, t)
+    scores = np.empty((heads, rows, t), dtype=np.result_type(q, k))
+    ev = np.empty((heads, rows, dk + 1), dtype=np.result_type(scores, vs))
+    m = np.empty((heads, t, 1), dtype=scores.dtype) if shifted else None
+    s = np.empty((heads, t, 1), dtype=ev.dtype) if saved is not None else None
+    for r0 in range(0, t, rows):
+        r1 = min(r0 + rows, t)
+        o = np.matmul(_tile_exp(qs, kts, m, shifted, r0, r1, scores, check=True), vs,
+                      out=ev[:, :r1 - r0])
+        np.divide(o[:, :, :dk], o[:, :, dk:], out=out_heads[:, r0:r1])
+        if s is not None:
+            s[:, r0:r1] = o[:, :, dk:]
+    if saved is not None:
+        saved.append((qs, kts, vs, m, s, shifted))
     return out
+
+
+def _tile_rows(heads: int, t: int) -> int:
+    """Rows per tile: as many as fit TILE_ENTRIES scores, at least one."""
+    return max(1, min(t, TILE_ENTRIES // max(heads * t, 1)))
+
+
+def _tile_exp(qs: np.ndarray, kts: np.ndarray, m: np.ndarray | None, shifted: list[int],
+              r0: int, r1: int, scores: np.ndarray, check: bool) -> np.ndarray:
+    """e = exp(q~ @ k.T), less the row maxima m on the shifted heads, for
+    rows r0:r1 of every head, in ``scores``. The forward (``check``)
+    takes m and raises on a row that is entirely -inf; backward reads
+    the forward's m, so its e is bitwise the forward's."""
+    e = scores[:, :r1 - r0]
+    np.matmul(qs[:, r0:r1], kts, out=e)
+    for h in shifted:
+        mh = m[h, r0:r1]
+        if check:
+            np.maximum.reduce(e[h], axis=-1, keepdims=True, out=mh)
+            if np.fmin.reduce(mh, axis=None) == -np.inf:  # fmin passes over NaN rows
+                raise ValueError("softmax over a fully masked (all -inf) slice")
+        e[h] -= mh
+    return np.exp(e, out=e)
 
 
 def _attention_backward(g: np.ndarray, out: np.ndarray, saved: list,
                         need: tuple[bool, bool, bool]) -> list[np.ndarray | None]:
     """Gradients of q, k and v (None where ``need`` is false) for output
-    gradient ``g``, given the forward's ``out`` and ``saved``. Each head
-    rebuilds its exponentiated scores with the forward's own calls, so
-    they are bitwise the forward's."""
+    gradient ``g``, given the forward's ``out`` and ``saved``. Each row
+    tile rebuilds its exponentiated scores e with the forward's own
+    calls; the tiles add their terms of k's and v's gradients and write
+    their rows of q's."""
     t, width = g.shape
-    qh, kt, vh = saved[0][:3]  # of q's, k's and v's dtype
-    dk = qh.shape[1]
-    scale = _attention_scale(dk, qh.dtype)
-    grads = [np.empty((t, width), dtype=a.dtype) if want else None
-             for a, want in zip((qh, kt, vh), need)]
-    gq, gk, gv = grads
-    e = np.empty((t, t), dtype=np.result_type(qh, kt))
-    p = np.empty((t, t), dtype=np.result_type(g, e, vh))
-    for h, (qh, kt, vh, m, s) in enumerate(saved):
-        sl = slice(h * dk, (h + 1) * dk)
-        np.matmul(qh, kt, out=e)
-        e -= m
-        np.exp(e, out=e)
-        gh = g[:, sl] / s  # a contiguous copy: BLAS rounds strided views differently
-        if gv is not None:
-            gv[:, sl] = e.T @ gh
-        np.matmul(gh, vh.T, out=p)  # softmax backward, into e's buffer
-        p -= np.sum(gh * out[:, sl], axis=-1, keepdims=True)
-        e *= p
-        if gq is not None:
-            gq[:, sl] = (e @ kt.T) * scale
-        if gk is not None:
-            gk[:, sl] = (qh.T @ e).T
+    qs, kts, vs, m, s, shifted = saved[0]
+    heads, dk = qs.shape[0], qs.shape[2]
+    scale = _attention_scale(dk, qs.dtype)
+    want_q, want_k, want_v = need
+    grads = [np.zeros((t, width), dtype=a.dtype) if want else None
+             for a, want in zip((qs, kts, vs), need)]
+    gq, gk, gv = (None if a is None else a.reshape(t, heads, dk).transpose(1, 0, 2) for a in grads)
+    # gs @ vts = [g / s | rowsum(g / s * out)] @ [v | -1].T is the softmax
+    # backward's dP - rowsum(dO * O), divided by s, in one product
+    gs = np.empty((heads, t, dk + 1), dtype=np.result_type(g, s))
+    np.divide(g.reshape(t, heads, dk).transpose(1, 0, 2), s, out=gs[:, :, :dk])
+    np.einsum("htd,htd->ht", gs[:, :, :dk], out.reshape(t, heads, dk).transpose(1, 0, 2),
+              out=gs[:, :, dk])
+    # contiguous copies: BLAS multiplies transposed views more slowly
+    vts = vs.transpose(0, 2, 1).copy()
+    vts[:, dk] = -1
+    ks = kts.transpose(0, 2, 1).copy()
+    rows = _tile_rows(heads, t)
+    scores = np.empty((heads, rows, t), dtype=np.result_type(qs, kts))
+    p = np.empty((heads, rows, t), dtype=np.result_type(gs, scores, vts))
+    gq_tile = np.empty((heads, rows, dk), dtype=np.result_type(scores, ks))
+    for r0 in range(0, t, rows):
+        r1 = min(r0 + rows, t)
+        e = _tile_exp(qs, kts, m, shifted, r0, r1, scores, check=False)
+        if want_v:
+            gv += e.transpose(0, 2, 1) @ gs[:, r0:r1, :dk]
+        if want_q or want_k:
+            e *= np.matmul(gs[:, r0:r1], vts, out=p[:, :r1 - r0])
+            if want_q:
+                np.multiply(np.matmul(e, ks, out=gq_tile[:, :r1 - r0]), scale, out=gq[:, r0:r1])
+            if want_k:
+                gk += e.transpose(0, 2, 1) @ qs[:, r0:r1]
     return grads
 
 
@@ -419,21 +481,29 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     out[:, h] = softmax(q[:, h] @ k[:, h].T / sqrt(dk)) @ v[:, h], where
     [:, h] is head h's block of dk = width / heads columns.
 
-    The softmax is normalized late (Dao et al. 2022, FlashAttention): a
-    head scales q by 1/sqrt(dk), exponentiates its shifted scores e in
-    place, and divides the t x dk product e @ v by the row sums s, so no
-    pass scales or divides the t x t scores. Backward takes the softmax's
-    row term as rowsum(dO * O), a t x dk product. A head multiplies
-    contiguous blocks, because BLAS rounds strided views differently: the
-    scaled q and v are copied once into (heads, t, dk) stacks, and k into
-    one k.T whose row blocks are the heads' k_h.T. Each head writes its
-    product straight into its column block of the output. No t x t array
-    outlives a call: while a graph is recorded, each head keeps only its
-    t x dk blocks and its row maxima m and row sums s, and backward
-    rebuilds e from them one head at a time with the forward's own calls
-    (the recomputation of FlashAttention and of gradient checkpointing,
-    Chen et al. 2016), so the rebuilt e is bitwise the forward's. Raises
-    if a score row is entirely -inf.
+    The scores are computed a tile of rows at a time, TILE_ENTRIES of
+    them across heads, so no t x t array is ever allocated and a tile
+    stays in cache through its three passes (Dao et al. 2022,
+    FlashAttention): one batched product of every head's scaled q rows
+    (q / sqrt(dk)) with k.T, exp in place, and one product with the
+    (heads, t, dk + 1) stack [v | 1], which gives the t x dk output and
+    the row sums s together; the output is divided by s, so no pass
+    scales or divides the scores. A head skips the row-max shift when
+    max |q~_i| max |k_j| <= SHIFT_FREE_BOUND rules out overflow; above
+    that bound, or when it is not finite, the head subtracts its exact
+    row maxima m and raises if a score row is entirely -inf. The stacks
+    are contiguous copies, made once per call, because BLAS rounds
+    strided views differently. While a graph is recorded the node keeps
+    only the stacks, m and s, and backward rebuilds each tile's e with
+    the forward's own calls (the recomputation of FlashAttention and of
+    gradient checkpointing, Chen et al. 2016). It takes the softmax's row
+    term rowsum(dO * O) into the same product as dP, through an extra
+    column: [dO / s | rowsum(dO / s * O)] @ [v | -1].T. A tile takes three
+    passes forward (five on a shifted head, which also finds and
+    subtracts m) and seven backward (eight on a shifted head): the score
+    product, exp, the products for v's gradient and for dP, the product
+    e * dP, and the products for q's and k's gradients. The tiles add
+    their terms of k's and v's gradients and write their rows of q's.
     """
     saved = [] if _recorded((q, k, v)) else None
     out = _attention_forward(q.data, k.data, v.data, heads, saved)
