@@ -25,7 +25,7 @@ from .scorers import ArcScorer, LocScorer
 from .tensor import Tensor, embedding_gather, no_grad
 
 CHECKPOINT_FORMAT = "arcforge-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 DECODERS = ("eisner", "mst")  # projective Eisner, or Chu-Liu-Edmonds
 DTYPES = ("float64", "float32")  # float32 trades exactness for speed
@@ -283,7 +283,7 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
                 state = {key[len("param:"):]: z[key] for key in z.files if key.startswith("param:")}
         except Exception as exc:
             raise ValueError(f"{path}: not an arcforge checkpoint") from exc
-    if meta.get("version") != CHECKPOINT_VERSION:
+    if meta.get("version") not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
     if not isinstance(stored, dict):
         raise ValueError(f"{path}: model must be a JSON object")
@@ -311,9 +311,22 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
         vocab = Vocab.from_dict(vocab_data)
     except ValueError as exc:
         raise ValueError(f"{path}: bad vocab: {exc}") from None
+    if meta["version"] == 1:
+        _drop_version_1_biases(state, cfg)
     model = build_model(cfg, vocab, seed=0)
     try:
         model.load_state(state)
     except ValueError as exc:
         raise ValueError(f"{path}: bad parameters: {exc}") from None
     return model, vocab, extra
+
+
+def _drop_version_1_biases(state: dict[str, np.ndarray], cfg: ModelConfig) -> None:
+    """Drop from a version-1 state the parameters that version 2 deleted:
+    each added a constant that every consumer cancels, so no parse reads it."""
+    for key in [k for k in state if k.endswith(".w_key.bias")
+                or k in ("scorer.score_out.bias", "scorer.filter_head.bias")]:
+        del state[key]
+    arc = state.get("scorer.arc_weight")
+    if cfg.kind == "loc" and cfg.biaffine_bias and np.shape(arc) == (cfg.x + 1, cfg.x + 1):
+        state["scorer.arc_weight"] = arc[:cfg.x]

@@ -75,9 +75,11 @@ class TransformerLayer(Module):
     queries and keys attend unprojected, values go through a single
     r x r projection, the FFN has no biases, and layer norms have no
     affine terms. Without the flag it is the standard layer with
-    separate Q/K/V/output projections, biases, and layer-norm affines.
-    Each sublayer is one autodiff node (``attention_sublayer``,
-    ``ffn_sublayer``).
+    separate Q/K/V/output projections, biases, and layer-norm affines,
+    except that the key projection has no bias: it would add q_i . b to
+    the whole score row i, which the row's softmax ignores, so its
+    gradient is exactly zero. Each sublayer is one autodiff node
+    (``attention_sublayer``, ``ffn_sublayer``).
     """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator,
@@ -91,7 +93,7 @@ class TransformerLayer(Module):
             self.w_value = Tensor(glorot_uniform((width, width), width, width, rng), requires_grad=True)
         else:
             self.w_query = Linear(width, width, rng)
-            self.w_key = Linear(width, width, rng)
+            self.w_key = Linear(width, width, rng, bias=False)
             self.w_value_proj = Linear(width, width, rng)
             self.w_out = Linear(width, width, rng)
         self.norm_attn = LayerNorm(width, affine=not exact_counts)

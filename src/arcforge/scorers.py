@@ -46,8 +46,12 @@ class LocScorer(Module):
     """Biaffine arc scores s_ij = h_i^T M m_j and biaffine label logits.
 
     The bias-augmented variant (biaffine_bias=True) appends a ones
-    column to both inputs, which folds the linear and constant bias
-    terms into the biaffine weights.
+    column to both label inputs, which folds the linear and constant
+    bias terms into the label weights, and to the arc modifier input
+    only, which adds a head-side term h_i . M[:, x] to each arc score
+    (Dozat & Manning 2017). A ones column on the arc head input would
+    add terms that depend on the modifier alone, which each modifier's
+    softmax over heads and both tree decoders ignore.
     """
 
     def __init__(self, x: int, y: int, n_labels: int, rng: np.random.Generator,
@@ -56,13 +60,14 @@ class LocScorer(Module):
         self.biaffine_bias = biaffine_bias
         xa = x + 1 if biaffine_bias else x
         ya = y + 1 if biaffine_bias else y
-        self.arc_weight = Tensor(glorot_uniform((xa, xa), xa, xa, rng), requires_grad=True)
+        # the first x rows of a square draw: the label weights then draw as after a square one
+        self.arc_weight = Tensor(glorot_uniform((xa, xa), xa, xa, rng)[:x], requires_grad=True)
         self.label_weight = Tensor(glorot_uniform((ya, n_labels, ya), ya, ya, rng), requires_grad=True)
 
     def arc_score_matrix(self, h_arc: Tensor, m_arc: Tensor) -> Tensor:
         """Raw arc scores S[i, j] = h_i^T M m_j, shape (n+1, n+1)."""
         if self.biaffine_bias:
-            h_arc, m_arc = _ones_column(h_arc), _ones_column(m_arc)
+            m_arc = _ones_column(m_arc)
         return linear(linear(h_arc, self.arc_weight), transpose(m_arc))
 
     def label_logits(self, h_lab_rows: Tensor, m_lab_rows: Tensor) -> Tensor:
@@ -78,6 +83,11 @@ class ArcScorer(Module):
     - score head: linear(r -> r/2), ReLU, linear(r/2 -> 1)
     - label head: linear(r -> 2L), ReLU, linear(2L -> L)
     - filter head (only when refinement layers exist): linear(r -> 1)
+
+    The score head's output layer and the filter head have no bias, as
+    with exact_counts: a bias would shift every arc's score or filter
+    logit by one constant, which each modifier's softmax over heads, the
+    top-k sort and both tree decoders (every tree has n arcs) ignore.
     """
 
     def __init__(self, d: int, r: int, n_labels: int, rng: np.random.Generator,
@@ -89,10 +99,10 @@ class ArcScorer(Module):
         bias = not exact_counts
         self.arc_tensor = Tensor(glorot_uniform((d, r, d), d, d, rng), requires_grad=True)
         self.score_hidden = Linear(r, r // 2, rng, bias=bias)
-        self.score_out = Linear(r // 2, 1, rng, bias=bias)
+        self.score_out = Linear(r // 2, 1, rng, bias=False)
         self.label_hidden = Linear(r, 2 * n_labels, rng, bias=bias)
         self.label_out = Linear(2 * n_labels, n_labels, rng, bias=bias)
-        self.filter_head = Linear(r, 1, rng, bias=bias) if with_filter else None
+        self.filter_head = Linear(r, 1, rng, bias=False) if with_filter else None
 
     def arc_vectors(self, h: Tensor, m: Tensor) -> Tensor:
         """Stage-0 arc vectors for every (head, modifier) pair:

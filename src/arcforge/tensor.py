@@ -16,9 +16,11 @@ small: just the operations the parsing models need, each one
 gradient-checked.
 
 Each pre-norm transformer sublayer is one node (``attention_sublayer``,
-``ffn_sublayer``). It runs the numpy bodies that its chain of elementary
-ops runs, shared with those ops, so its values and gradients are bitwise
-the chain's, and it keeps fewer arrays for backward than the chain.
+``ffn_sublayer``). It runs the numpy bodies of the layer norm, the
+projections and the attention or FFN it stands for, in order, and keeps
+fewer arrays for backward than a chain of one node per op would. The
+tests build that chain from the same bodies and check that the node's
+values and gradients are bitwise the chain's.
 Attention allocates no t x t array: it computes its scores a tile of
 rows at a time, and backward rebuilds each tile's scores from the saved
 stacks, trading a second score pass for memory.
@@ -363,14 +365,30 @@ SHIFT_FREE_BOUND = 32.0
 
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
                        saved: list | None) -> np.ndarray:
-    """Every head's softmax(q_h @ k_h.T / sqrt(dk)) @ v_h, a tile of rows
-    at a time, with the late normalization, the row-max shift only where
-    a head needs it, and the stacks that ``multi_head_attention``
-    describes. When ``saved`` is a list, the call appends what
-    ``_attention_backward`` reads: the stacks of scaled q, k.T and
-    [v | 1], the row maxima m (None when no head is shifted; rows of the
-    heads not shifted are unset), the row sums s, and the indices of the
-    shifted heads."""
+    """Every head's softmax(q_h @ k_h.T / sqrt(dk)) @ v_h, where q_h is
+    head h's block of dk = width / heads columns of q.
+
+    The scores are computed a tile of rows at a time, TILE_ENTRIES of
+    them across heads, so no t x t array is ever allocated and a tile
+    stays in cache through its three passes (Dao et al. 2022,
+    FlashAttention): one batched product of every head's scaled q rows
+    (q~ = q / sqrt(dk)) with k.T, exp in place, and one product with the
+    (heads, t, dk + 1) stack [v | 1], which gives the t x dk output and
+    the row sums s together; the output is divided by s, so no pass
+    scales or divides the scores. A head skips the row-max shift when
+    max |q~_i| max |k_j| <= SHIFT_FREE_BOUND rules out overflow; above
+    that bound, or when it is not finite, the head subtracts its exact
+    row maxima m (two more passes) and raises if a score row is entirely
+    -inf. The stacks are contiguous copies, made once per call, because
+    BLAS rounds strided views differently.
+
+    When ``saved`` is a list, the call appends what
+    ``_attention_backward`` reads, and no t x t array: the stacks of
+    scaled q, k.T and [v | 1], the row maxima m (None when no head is
+    shifted; rows of the heads not shifted are unset), the row sums s,
+    and the indices of the shifted heads. Backward rebuilds each tile's
+    e from them with the forward's own calls, the recomputation of
+    FlashAttention and of gradient checkpointing (Chen et al. 2016)."""
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
         raise ValueError(f"attention expects equal 2-D q, k, v, got {q.shape}, {k.shape}, {v.shape}")
     t, width = q.shape
@@ -439,7 +457,12 @@ def _attention_backward(g: np.ndarray, out: np.ndarray, saved: list,
     gradient ``g``, given the forward's ``out`` and ``saved``. Each row
     tile rebuilds its exponentiated scores e with the forward's own
     calls; the tiles add their terms of k's and v's gradients and write
-    their rows of q's."""
+    their rows of q's. The softmax's row term rowsum(dO * O) goes into
+    the same product as dP, through an extra column:
+    [dO / s | rowsum(dO / s * O)] @ [v | -1].T. A tile takes seven
+    passes (eight on a shifted head): the score product, exp, the
+    products for v's gradient and for dP, the product e * dP, and the
+    products for q's and k's gradients."""
     t, width = g.shape
     qs, kts, vs, m, s, shifted = saved[0]
     heads, dk = qs.shape[0], qs.shape[2]
@@ -474,47 +497,6 @@ def _attention_backward(g: np.ndarray, out: np.ndarray, saved: list,
             if want_k:
                 gk += e.transpose(0, 2, 1) @ qs[:, r0:r1]
     return grads
-
-
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Scaled dot-product attention of every head, as one node:
-    out[:, h] = softmax(q[:, h] @ k[:, h].T / sqrt(dk)) @ v[:, h], where
-    [:, h] is head h's block of dk = width / heads columns.
-
-    The scores are computed a tile of rows at a time, TILE_ENTRIES of
-    them across heads, so no t x t array is ever allocated and a tile
-    stays in cache through its three passes (Dao et al. 2022,
-    FlashAttention): one batched product of every head's scaled q rows
-    (q / sqrt(dk)) with k.T, exp in place, and one product with the
-    (heads, t, dk + 1) stack [v | 1], which gives the t x dk output and
-    the row sums s together; the output is divided by s, so no pass
-    scales or divides the scores. A head skips the row-max shift when
-    max |q~_i| max |k_j| <= SHIFT_FREE_BOUND rules out overflow; above
-    that bound, or when it is not finite, the head subtracts its exact
-    row maxima m and raises if a score row is entirely -inf. The stacks
-    are contiguous copies, made once per call, because BLAS rounds
-    strided views differently. While a graph is recorded the node keeps
-    only the stacks, m and s, and backward rebuilds each tile's e with
-    the forward's own calls (the recomputation of FlashAttention and of
-    gradient checkpointing, Chen et al. 2016). It takes the softmax's row
-    term rowsum(dO * O) into the same product as dP, through an extra
-    column: [dO / s | rowsum(dO / s * O)] @ [v | -1].T. A tile takes three
-    passes forward (five on a shifted head, which also finds and
-    subtracts m) and seven backward (eight on a shifted head): the score
-    product, exp, the products for v's gradient and for dP, the product
-    e * dP, and the products for q's and k's gradients. The tiles add
-    their terms of k's and v's gradients and write their rows of q's.
-    """
-    saved = [] if _recorded((q, k, v)) else None
-    out = _attention_forward(q.data, k.data, v.data, heads, saved)
-
-    def _bw(g):
-        grads = _attention_backward(g, out, saved, tuple(x.requires_grad for x in (q, k, v)))
-        for x, gx in zip((q, k, v), grads):
-            if gx is not None:
-                _accum(x, gx)
-
-    return Tensor._from_op(out, (q, k, v), _bw)
 
 
 # -- shape ops --------------------------------------------------------
@@ -615,10 +597,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def _layer_norm_forward(x: np.ndarray, gain: np.ndarray | None, bias: np.ndarray | None,
                         eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``layer_norm``'s output, with the normalized input and the inverse
+    """x normalized over its last axis to zero mean and unit variance,
+    times gain, plus bias; with the normalized input and the inverse
     deviations that ``_layer_norm_backward`` reads."""
     if x.shape[-1] < 2:
-        raise ValueError("layer_norm needs at least 2 features")
+        raise ValueError("layer norm needs at least 2 features")
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -646,38 +629,29 @@ def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     return inv * (gx - gmean - xhat * gxhat)
 
 
-def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    data, xhat, inv = _layer_norm_forward(a.data, _data(gain), _data(bias), eps)
-    prev = (a,) + tuple(p for p in (gain, bias) if p is not None)
-
-    def _bw(g):
-        _accum(a, _layer_norm_backward(g, xhat, inv, gain, bias))
-
-    return Tensor._from_op(data, prev, _bw)
-
-
 # -- transformer sublayers -----------------------------------------------
 #
 # A pre-norm sublayer as one node. Each runs the numpy bodies of the
-# chain of ops it stands for (layer_norm, linear, multi_head_attention,
-# relu, add), in the chain's order, and sums each gradient's terms in the
-# order the chain's backward adds them, so its values and gradients are
-# bitwise the chain's. A projection is a (weight, bias) pair whose bias
-# may be None.
+# chain of ops it stands for (a layer norm, linear, attention over every
+# head, relu, add), in the chain's order, and sums each gradient's terms
+# in the order the chain's backward would add them, so its values and
+# gradients are bitwise the chain's; the tests build that chain from the
+# same bodies as their oracle. A projection is a (weight, bias) pair
+# whose bias may be None.
 
 
 def attention_sublayer(x: Tensor, gain: Tensor | None, bias: Tensor | None,
                        query: tuple | None, key: tuple | None, value: tuple,
                        out: tuple | None, heads: int) -> Tensor:
-    """x + out(multi_head_attention(query(y), key(y), value(y), heads))
-    with y = layer_norm(x, gain, bias). A None query, key or out
-    projection is the identity (the exact-counts layer attends with
-    unprojected queries and keys and has no output projection).
+    """x + out(attention(query(y), key(y), value(y), heads)) with y the
+    layer norm of x, times gain, plus bias, and attention that of
+    ``_attention_forward``. A None query, key or out projection is the
+    identity (the exact-counts layer attends with unprojected queries
+    and keys and has no output projection).
 
     The node keeps y, the attention output and what the attention's
-    backward reads (``_attention_forward``), never a t x t array."""
+    backward reads (``_attention_forward``), never a t x t array:
+    backward recomputes each tile of scores instead."""
     projections = [p for pair in (query, key, value, out) if pair is not None for p in pair]
     prev = tuple(p for p in (x, gain, bias, *projections) if p is not None)
     y, xhat, inv = _layer_norm_forward(x.data, _data(gain), _data(bias))
@@ -702,9 +676,9 @@ def attention_sublayer(x: Tensor, gain: Tensor | None, bias: Tensor | None,
 
 def ffn_sublayer(x: Tensor, gain: Tensor | None, bias: Tensor | None,
                  hidden: tuple, out: tuple) -> Tensor:
-    """x + out(relu(hidden(layer_norm(x, gain, bias)))). The node keeps
-    the normed input and the relu output, whose positive entries are the
-    relu's mask."""
+    """x + out(relu(hidden(y))) with y the layer norm of x, times gain,
+    plus bias. The node keeps y and the relu output, whose positive
+    entries are the relu's mask."""
     prev = tuple(p for p in (x, gain, bias, *hidden, *out) if p is not None)
     y, xhat, inv = _layer_norm_forward(x.data, _data(gain), _data(bias))
     a = _linear_forward(y, hidden[0].data, _data(hidden[1]))

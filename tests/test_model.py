@@ -14,7 +14,7 @@ from arcforge.model import (
     save_checkpoint,
 )
 from arcforge.refiner import num_heads
-from arcforge.training import TrainConfig
+from arcforge.training import TrainConfig, sentence_loss
 from scalarloss import total
 from treeoracle import is_single_root_tree
 
@@ -241,15 +241,110 @@ class TestCheckpoint:
     def test_unsupported_version_rejected(self, tmp_path, toy_vocab):
         path = tmp_path / "model.npz"
         save_checkpoint(path, build_model(arc_cfg(toy_vocab), toy_vocab, seed=6), toy_vocab)
-        edit_checkpoint_meta(path, lambda meta: meta.update(version=2), part=None)
-        with pytest.raises(ValueError, match="model.npz: unsupported checkpoint version 2$"):
+        edit_checkpoint_meta(path, lambda meta: meta.update(version=3), part=None)
+        with pytest.raises(ValueError, match="model.npz: unsupported checkpoint version 3$"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["arcloc", "loc"])
+    def test_version_1_checkpoint_loads_without_the_deleted_biases(
+            self, tmp_path, toy_corpus, toy_vocab, kind):
+        # version 1 also held the key, score and filter biases and, with
+        # biaffine_bias, the arc weight's head-side ones row; give them
+        # N(0, 1) values, which no parse may depend on
+        if kind == "arcloc":
+            model = build_model(arc_cfg(toy_vocab, layers=2, k=2), toy_vocab, seed=6)
+            deleted = {"encoder.context.0.w_key.bias": 32, "refiner_layers.0.w_key.bias": 16,
+                       "refiner_layers.1.w_key.bias": 16, "scorer.score_out.bias": 1,
+                       "scorer.filter_head.bias": 1}
+        else:
+            model = build_model(ModelConfig(kind="loc", n_labels=toy_vocab.n_labels, emb_dim=32,
+                                            context_layers=1, x=8, y=8, biaffine_bias=True,
+                                            mlp_dropout=0.0), toy_vocab, seed=6)
+            deleted = {"encoder.context.0.w_key.bias": 32}
+        model.eval()
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, toy_vocab)
+        rng = np.random.default_rng(1)
+        with np.load(path) as z:
+            arrays = {key: z[key] for key in z.files}
+        for name, width in deleted.items():
+            arrays[f"param:{name}"] = rng.normal(size=width)
+        if kind == "loc":
+            arc = arrays["param:scorer.arc_weight"]
+            arrays["param:scorer.arc_weight"] = np.vstack([arc, rng.normal(size=(1, 9))])
+        np.savez(path, **arrays)
+        edit_checkpoint_meta(path, lambda meta: meta.update(version=2), part=None)
+        with pytest.raises(ValueError, match="bad parameters"):
+            load_checkpoint(path)
+        edit_checkpoint_meta(path, lambda meta: meta.update(version=1), part=None)
+        loaded, vocab, _ = load_checkpoint(path)
+        saved = model.state_dict()
+        assert {name: arr.tobytes() for name, arr in loaded.state_dict().items()} == {
+            name: arr.tobytes() for name, arr in saved.items()}
+        loaded.eval()
+        for decoder in ("eisner", "mst"):
+            for sent in toy_corpus[1][:4]:
+                assert (loaded.predict(sent, vocab, decoder=decoder)
+                        == model.predict(sent, toy_vocab, decoder=decoder))
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"
         np.savez(path, __meta__=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
         with pytest.raises(ValueError, match="not an arcforge checkpoint"):
             load_checkpoint(path)
+
+
+class TestEveryParameterMatters:
+    """No parameter adds only what every consumer cancels (a constant over
+    a softmax row, a top-k sort or a tree): moving any leaf, or any
+    head-side or modifier-side slice of a biaffine weight, moves the
+    eval loss."""
+
+    # The loc models read no context layer: on the toy grammar one makes
+    # most words alike, and a specialization unit that is zero on every
+    # word leaves its biaffine slices nothing to read. The arcloc models
+    # cover the context layer's parameters.
+    CONFIGS = {
+        "loc": dict(kind="loc", x=6, y=6, context_layers=0),
+        "loc-biaffine-bias": dict(kind="loc", x=6, y=6, context_layers=0, biaffine_bias=True),
+        "loc-exact-counts": dict(kind="loc", x=6, y=6, context_layers=0, exact_counts=True),
+        "arcloc": dict(kind="arcloc", d=6, r=8),
+        "arcloc-layers": dict(kind="arcloc", d=6, r=8, layers=2, k=3, filter_aux_weight=0.5),
+        "arcloc-layers-exact-counts": dict(kind="arcloc", d=6, r=8, layers=2, k=3,
+                                           filter_aux_weight=0.5, exact_counts=True),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_loss_moves_with_every_leaf_and_biaffine_slice(self, toy_corpus, toy_vocab, name):
+        cfg = ModelConfig(**{"n_labels": toy_vocab.n_labels, "emb_dim": 16, "context_layers": 1,
+                             "mlp_dropout": 0.0, **self.CONFIGS[name]})
+        model = build_model(cfg, toy_vocab, seed=3)
+        model.eval()
+        # eight toy sentences as one 26-word forest
+        tokens = []
+        for sent in toy_corpus[0][:8]:
+            tokens += [Token(t.form, t.upos, t.gold_head and t.gold_head + len(tokens), t.gold_label)
+                       for t in sent.tokens]
+        sentence = Sentence(tokens)
+        moves = [(leaf, p, np.ones(p.data.shape, dtype=bool)) for leaf, p in model.named_parameters()]
+        if cfg.kind == "loc":
+            for leaf in ("scorer.arc_weight", "scorer.label_weight"):
+                p = dict(model.named_parameters())[leaf]
+                for axis, side in ((0, "head"), (-1, "modifier")):
+                    for i in range(p.data.shape[axis]):
+                        mask = np.zeros(p.data.shape, dtype=bool)
+                        np.moveaxis(mask, axis, 0)[i] = True
+                        moves.append((f"{leaf} {side} slice {i}", p, mask))
+        base = sentence_loss(model, sentence, toy_vocab).item()
+        rng = np.random.default_rng(4)
+        unmoved = []
+        for what, p, mask in moves:
+            kept = p.data
+            p.data = kept + mask * rng.normal(size=kept.shape)
+            if not abs(sentence_loss(model, sentence, toy_vocab).item() - base) > 1e-9 * abs(base):
+                unmoved.append(what)
+            p.data = kept
+        assert unmoved == []
 
 
 class TestRegistryGroups:

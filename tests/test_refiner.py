@@ -26,9 +26,7 @@ from arcforge.tensor import (
     concat,
     embedding_gather,
     grad_check,
-    layer_norm,
     linear,
-    multi_head_attention,
     narrow,
     no_grad,
     reshape,
@@ -36,6 +34,7 @@ from arcforge.tensor import (
     straight_through,
     transpose,
 )
+from chainops import layer_norm, multi_head_attention
 from scalarloss import total
 
 

@@ -129,7 +129,7 @@ class TestLocScorer:
     def test_biaffine_bias_variant_adds_ones_column(self):
         rng = np.random.default_rng(6)
         scorer = LocScorer(x=2, y=2, n_labels=2, rng=rng, biaffine_bias=True)
-        assert scorer.arc_weight.data.shape == (3, 3)
+        assert scorer.arc_weight.data.shape == (2, 3)
         assert scorer.label_weight.data.shape == (3, 2, 3)
 
 
@@ -168,9 +168,9 @@ class TestArcScorer:
     def test_score_head_zero_weights(self):
         rng = np.random.default_rng(10)
         scorer = ArcScorer(d=2, r=4, n_labels=2, rng=rng)
-        for lin in (scorer.score_hidden, scorer.score_out):
-            lin.weight.data[:] = 0.0
-            lin.bias.data[:] = 0.0
+        scorer.score_hidden.weight.data[:] = 0.0
+        scorer.score_hidden.bias.data[:] = 0.0
+        scorer.score_out.weight.data[:] = 0.0
         out = scorer.score_head(tt(rng.normal(size=(5, 4))))
         assert np.array_equal(out.data, np.zeros((5, 1)))
 
@@ -249,7 +249,6 @@ class TestFilterLogit:
             toy_vocab.n_forms, toy_vocab.n_upos, seed=0)
         model.eval()
         model.scorer.filter_head.weight.data[:] = 0.0
-        model.scorer.filter_head.bias.data[:] = 0.0
         sent_tokens = 4
         from arcforge.conllu import Sentence, Token
 
