@@ -17,13 +17,18 @@ from .decoders import check_tree
 
 _SKIPPED_ID = re.compile(r"\d+-\d+|\d+\.\d+")  # multiword-token ranges and empty nodes
 _BREAK = re.compile(r"\n\r?\n")  # a line end followed by a blank or CR-only line
+_INT = re.compile(r"-?[0-9]+")  # int() would also take "+2", " 2", "0_0" and non-ASCII digits
 
 
 class _Ints(dict):
-    """``int()`` of each distinct string, converted once: a read repeats a
-    few id and HEAD strings, and calling int() on each took a fifth of its time."""
+    """The int of each distinct ID or HEAD string, checked and converted
+    once: a read repeats a few such strings, and calling int() on each took
+    a fifth of its time. Raises ValueError on any string but ASCII
+    ``-?[0-9]+``."""
 
     def __missing__(self, s: str) -> int:
+        if not _INT.fullmatch(s):
+            raise ValueError(s)
         self[s] = value = int(s)
         return value
 

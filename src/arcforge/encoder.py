@@ -3,7 +3,9 @@
 Embeddings are trainable lookups (form + optional gold-POS, summed) with
 a reserved trainable root-marker row at id 0. Context, when enabled, is
 a stack of standard self-attention layers over the token sequence with
-sinusoidal position encodings added at the input.
+sinusoidal position encodings added at the input. Those layers
+(``refiner.TransformerLayer``) have no layer-norm gains or biases and
+no key or value bias: the neighbouring projections absorb each of them.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .scorers import ArcScorer, LocScorer
 from .tensor import Tensor, embedding_gather, no_grad
 
 CHECKPOINT_FORMAT = "arcforge-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 DECODERS = ("eisner", "mst")  # projective Eisner, or Chu-Liu-Edmonds
 DTYPES = ("float64", "float32")  # float32 trades exactness for speed
@@ -257,7 +257,9 @@ def build_model(cfg: ModelConfig, vocab: Vocab, seed: int = 0) -> _ParserBase:
 
 
 def save_checkpoint(path, model: _ParserBase, vocab: Vocab, extra: dict | None = None) -> None:
-    """Versioned npz container: named parameter tensors + config + vocab.
+    """Versioned npz container: named parameter tensors + config + vocab,
+    written to ``path`` as given (``np.savez`` would append ".npz" to a
+    name without it).
 
     Arrays round-trip bit-exactly.
     """
@@ -269,7 +271,8 @@ def save_checkpoint(path, model: _ParserBase, vocab: Vocab, extra: dict | None =
         "extra": extra or {},
     }
     arrays = {f"param:{name}": arr for name, arr in model.state_dict().items()}
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
@@ -283,7 +286,7 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
                 state = {key[len("param:"):]: z[key] for key in z.files if key.startswith("param:")}
         except Exception as exc:
             raise ValueError(f"{path}: not an arcforge checkpoint") from exc
-    if meta.get("version") not in (1, CHECKPOINT_VERSION):
+    if meta.get("version") not in (1, 2, CHECKPOINT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
     if not isinstance(stored, dict):
         raise ValueError(f"{path}: model must be a JSON object")
@@ -311,9 +314,14 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
         vocab = Vocab.from_dict(vocab_data)
     except ValueError as exc:
         raise ValueError(f"{path}: bad vocab: {exc}") from None
-    if meta["version"] == 1:
-        _drop_version_1_biases(state, cfg)
     model = build_model(cfg, vocab, seed=0)
+    try:
+        if meta["version"] == 1:
+            _drop_version_1_biases(state, cfg)
+        if meta["version"] < 3:
+            _fold_version_2_affines(state, model)
+    except (KeyError, TypeError, ValueError) as exc:  # a folded array missing, or of the wrong shape or type
+        raise ValueError(f"{path}: bad parameters: cannot fold version {meta['version']}: {exc!r}") from None
     try:
         model.load_state(state)
     except ValueError as exc:
@@ -330,3 +338,40 @@ def _drop_version_1_biases(state: dict[str, np.ndarray], cfg: ModelConfig) -> No
     arc = state.get("scorer.arc_weight")
     if cfg.kind == "loc" and cfg.biaffine_bias and np.shape(arc) == (cfg.x + 1, cfg.x + 1):
         state["scorer.arc_weight"] = arc[:cfg.x]
+
+
+def _fold_version_2_affines(state: dict[str, np.ndarray], model: _ParserBase) -> None:
+    """Fold into their neighbouring projections the parameters that
+    version 3 deleted from each standard transformer layer: the layer
+    norms' gains and biases and the value bias. A norm feeds only
+    projections, so its gain scales their weight rows and its bias adds
+    its product with their (unscaled) weights to their biases; the key
+    projection's share of that bias shifts a whole softmax row and is
+    dropped. The value bias, and the value projection's share of the
+    norm bias, pass through attention unchanged (its rows sum to 1), so
+    their product with the output weights joins the output bias."""
+    for name, p in model.named_parameters():
+        if not name.endswith(".w_value_proj.weight"):
+            continue
+        layer = name[:-len("w_value_proj.weight")]
+
+        def take(key):  # a layer-wide vector, which must not broadcast
+            arr = state.pop(layer + key)
+            if arr.shape != p.data.shape[:1]:
+                raise ValueError(f"{layer + key} has shape {arr.shape}")
+            return arr
+
+        def weight(proj):
+            return state[layer + proj + ".weight"]
+
+        def add_to_bias(proj, shift):
+            state[layer + proj + ".bias"] = state[layer + proj + ".bias"] + shift
+
+        gain, bias = take("norm_attn.gain"), take("norm_attn.bias")
+        add_to_bias("w_out", (bias @ weight("w_value_proj") + take("w_value_proj.bias")) @ weight("w_out"))
+        add_to_bias("w_query", bias @ weight("w_query"))
+        for proj in ("w_query", "w_key", "w_value_proj"):
+            state[layer + proj + ".weight"] = gain[:, None] * weight(proj)
+        gain, bias = take("norm_ffn.gain"), take("norm_ffn.bias")
+        add_to_bias("ffn_in", bias @ weight("ffn_in"))
+        state[layer + "ffn_in.weight"] = gain[:, None] * weight("ffn_in")

@@ -58,27 +58,20 @@ def num_heads(r: int) -> int:
     return best
 
 
-class LayerNorm(Module):
-    """A layer norm's affine terms, ``gain`` and ``bias`` (both None
-    without them); the sublayer nodes of ``TransformerLayer`` apply them."""
-
-    def __init__(self, width: int, affine: bool = True):
-        super().__init__()
-        self.gain = Tensor(np.ones(width), requires_grad=True) if affine else None
-        self.bias = Tensor(np.zeros(width), requires_grad=True) if affine else None
-
-
 class TransformerLayer(Module):
     """Pre-norm multi-head self-attention + position-wise FFN (hidden 4r).
 
-    With exact_counts=True the layer carries exactly 9r^2 parameters:
-    queries and keys attend unprojected, values go through a single
-    r x r projection, the FFN has no biases, and layer norms have no
-    affine terms. Without the flag it is the standard layer with
-    separate Q/K/V/output projections, biases, and layer-norm affines,
-    except that the key projection has no bias: it would add q_i . b to
-    the whole score row i, which the row's softmax ignores, so its
-    gradient is exactly zero. Each sublayer is one autodiff node
+    Layer norms have no affine terms: each norm feeds only linear
+    projections, so a gain would fold into their weight rows and a bias
+    into their biases. With exact_counts=True the layer carries exactly
+    9r^2 parameters: queries and keys attend unprojected, values go
+    through a single r x r projection, and the FFN has no biases. Without
+    the flag it is the standard layer with separate Q/K/V/output
+    projections and FFN biases, 12r^2 + 7r parameters; the key and value
+    projections have no bias. A key bias would add q_i . b to the whole
+    score row i, which the row's softmax ignores; a value bias would reach
+    the output as b W_out, since each attention row sums to 1, which the
+    output bias absorbs. Each sublayer is one autodiff node
     (``attention_sublayer``, ``ffn_sublayer``).
     """
 
@@ -94,10 +87,8 @@ class TransformerLayer(Module):
         else:
             self.w_query = Linear(width, width, rng)
             self.w_key = Linear(width, width, rng, bias=False)
-            self.w_value_proj = Linear(width, width, rng)
+            self.w_value_proj = Linear(width, width, rng, bias=False)
             self.w_out = Linear(width, width, rng)
-        self.norm_attn = LayerNorm(width, affine=not exact_counts)
-        self.norm_ffn = LayerNorm(width, affine=not exact_counts)
         self.ffn_in = Linear(width, 4 * width, rng, bias=not exact_counts)
         self.ffn_out = Linear(4 * width, width, rng, bias=not exact_counts)
 
@@ -109,9 +100,9 @@ class TransformerLayer(Module):
         else:
             projections = tuple((lin.weight, lin.bias)
                                 for lin in (self.w_query, self.w_key, self.w_value_proj, self.w_out))
-        x = attention_sublayer(x, self.norm_attn.gain, self.norm_attn.bias, *projections, self.heads)
-        return ffn_sublayer(x, self.norm_ffn.gain, self.norm_ffn.bias,
-                            (self.ffn_in.weight, self.ffn_in.bias), (self.ffn_out.weight, self.ffn_out.bias))
+        x = attention_sublayer(x, *projections, self.heads)
+        return ffn_sublayer(x, (self.ffn_in.weight, self.ffn_in.bias),
+                            (self.ffn_out.weight, self.ffn_out.bias))
 
 
 @dataclass

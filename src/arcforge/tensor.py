@@ -595,38 +595,23 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(y, (a,), _bw)
 
 
-def _layer_norm_forward(x: np.ndarray, gain: np.ndarray | None, bias: np.ndarray | None,
-                        eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layer_norm_forward(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
     """x normalized over its last axis to zero mean and unit variance,
-    times gain, plus bias; with the normalized input and the inverse
-    deviations that ``_layer_norm_backward`` reads."""
+    with the inverse deviations that ``_layer_norm_backward`` reads."""
     if x.shape[-1] < 2:
         raise ValueError("layer norm needs at least 2 features")
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = xhat
-    if gain is not None:
-        y = y * gain
-    if bias is not None:
-        y = y + bias
-    return y, xhat, inv
+    return xc * inv, inv
 
 
-def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                         gain: Tensor | None, bias: Tensor | None) -> np.ndarray:
-    """Accumulate the gradients of the affine terms; return the input's."""
-    width = xhat.shape[-1]
-    if gain is not None:
-        _accum(gain, (g * xhat).reshape(-1, width).sum(axis=0))
-    if bias is not None:
-        _accum(bias, g.reshape(-1, width).sum(axis=0))
-    gx = g * gain.data if gain is not None else g
-    gmean = gx.mean(axis=-1, keepdims=True)
-    gxhat = (gx * xhat).mean(axis=-1, keepdims=True)
-    return inv * (gx - gmean - xhat * gxhat)
+def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The input's gradient, from the normalized input xhat."""
+    gmean = g.mean(axis=-1, keepdims=True)
+    gxhat = (g * xhat).mean(axis=-1, keepdims=True)
+    return inv * (g - gmean - xhat * gxhat)
 
 
 # -- transformer sublayers -----------------------------------------------
@@ -640,21 +625,21 @@ def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
 # whose bias may be None.
 
 
-def attention_sublayer(x: Tensor, gain: Tensor | None, bias: Tensor | None,
-                       query: tuple | None, key: tuple | None, value: tuple,
+def attention_sublayer(x: Tensor, query: tuple | None, key: tuple | None, value: tuple,
                        out: tuple | None, heads: int) -> Tensor:
     """x + out(attention(query(y), key(y), value(y), heads)) with y the
-    layer norm of x, times gain, plus bias, and attention that of
-    ``_attention_forward``. A None query, key or out projection is the
-    identity (the exact-counts layer attends with unprojected queries
-    and keys and has no output projection).
+    layer norm of x and attention that of ``_attention_forward``. A None
+    query, key or out projection is the identity (the exact-counts layer
+    attends with unprojected queries and keys and has no output
+    projection). The norm has no gain or bias: the projections that read
+    y would absorb them (see ``refiner.TransformerLayer``).
 
     The node keeps y, the attention output and what the attention's
     backward reads (``_attention_forward``), never a t x t array:
     backward recomputes each tile of scores instead."""
     projections = [p for pair in (query, key, value, out) if pair is not None for p in pair]
-    prev = tuple(p for p in (x, gain, bias, *projections) if p is not None)
-    y, xhat, inv = _layer_norm_forward(x.data, _data(gain), _data(bias))
+    prev = tuple(p for p in (x, *projections) if p is not None)
+    y, inv = _layer_norm_forward(x.data)
     q, k, v = (y if pair is None else _linear_forward(y, pair[0].data, _data(pair[1]))
                for pair in (query, key, value))
     saved = [] if _recorded(prev) else None
@@ -669,18 +654,17 @@ def attention_sublayer(x: Tensor, gain: Tensor | None, bias: Tensor | None,
                                           _attention_backward(gm, mixed, saved, (True,) * 3)))
         gq += gk  # y's gradient: its q, k and v terms, in the chain's order
         gq += gv
-        _accum(x, _layer_norm_backward(gq, xhat, inv, gain, bias))
+        _accum(x, _layer_norm_backward(gq, y, inv))
 
     return Tensor._from_op(data, prev, _bw)
 
 
-def ffn_sublayer(x: Tensor, gain: Tensor | None, bias: Tensor | None,
-                 hidden: tuple, out: tuple) -> Tensor:
-    """x + out(relu(hidden(y))) with y the layer norm of x, times gain,
-    plus bias. The node keeps y and the relu output, whose positive
-    entries are the relu's mask."""
-    prev = tuple(p for p in (x, gain, bias, *hidden, *out) if p is not None)
-    y, xhat, inv = _layer_norm_forward(x.data, _data(gain), _data(bias))
+def ffn_sublayer(x: Tensor, hidden: tuple, out: tuple) -> Tensor:
+    """x + out(relu(hidden(y))) with y the layer norm of x, which has no
+    gain or bias: the hidden projection would absorb them. The node keeps
+    y and the relu output, whose positive entries are the relu's mask."""
+    prev = tuple(p for p in (x, *hidden, *out) if p is not None)
+    y, inv = _layer_norm_forward(x.data)
     a = _linear_forward(y, hidden[0].data, _data(hidden[1]))
     np.maximum(a, 0.0, out=a)
     data = x.data + _linear_forward(a, out[0].data, _data(out[1]))
@@ -689,7 +673,7 @@ def ffn_sublayer(x: Tensor, gain: Tensor | None, bias: Tensor | None,
         _accum(x, g)
         ga = _linear_backward(g, a, *out)
         gy = _linear_backward(ga * (a > 0), y, *hidden)
-        _accum(x, _layer_norm_backward(gy, xhat, inv, gain, bias))
+        _accum(x, _layer_norm_backward(gy, y, inv))
 
     return Tensor._from_op(data, prev, _bw)
 

@@ -12,16 +12,14 @@ from arcforge import tensor as T
 from arcforge.tensor import Tensor
 
 
-def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    data, xhat, inv = T._layer_norm_forward(a.data, T._data(gain), T._data(bias), eps)
-    prev = (a,) + tuple(p for p in (gain, bias) if p is not None)
+def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance."""
+    data, inv = T._layer_norm_forward(a.data, eps)
 
     def _bw(g):
-        T._accum(a, T._layer_norm_backward(g, xhat, inv, gain, bias))
+        T._accum(a, T._layer_norm_backward(g, data, inv))
 
-    return Tensor._from_op(data, prev, _bw)
+    return Tensor._from_op(data, (a,), _bw)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:

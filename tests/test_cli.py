@@ -454,6 +454,19 @@ class TestTrainCommand:
         model = build_model(RunConfig(**self.SMALL).model_config(vocab.n_labels), vocab)
         assert {p.data.dtype.name for p in model.parameters()} == {"float64"}
 
+    def test_model_out_without_npz_suffix_is_the_path_written(self, toy_files, tmp_path, capsys):
+        # np.savez appends ".npz" to a file name that lacks it
+        train_path, dev_path, _ = toy_files
+        model_path = str(tmp_path / "model.ckpt")
+        cfg = write(tmp_path / "cfg.json", json.dumps({
+            **self.SMALL, "train_file": train_path, "model_out": model_path,
+        }))
+        assert main(["train", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith(f"saved {model_path} ")
+        assert not Path(model_path + ".npz").exists()
+        assert main(["parse", "--model", model_path, "--input", dev_path,
+                     "--output", str(tmp_path / "pred.conllu")]) == 0
+
     def test_no_dev_set_reported_and_stored_as_null(self, toy_files, tmp_path, capsys):
         train_path, _, _ = toy_files
         model_path = str(tmp_path / "m.npz")

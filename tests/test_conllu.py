@@ -48,6 +48,13 @@ def reference_check_tree(heads):
 _REFERENCE_SKIPPED_ID = re.compile(r"\d+-\d+|\d+\.\d+")
 
 
+def reference_int(s):
+    """int() of an ASCII ``-?[0-9]+`` string; ValueError on any other."""
+    if re.fullmatch(r"-?[0-9]+", s) is None:
+        raise ValueError(s)
+    return int(s)
+
+
 def reference_parse_conllu(text):
     sentences = []
     tokens = []
@@ -84,13 +91,13 @@ def reference_parse_conllu(text):
         if _REFERENCE_SKIPPED_ID.fullmatch(tok_id):
             continue
         try:
-            tok_id = int(tok_id)
+            tok_id = reference_int(tok_id)
         except ValueError:
             raise ConlluError(f"bad token id {tok_id!r}", lineno) from None
         if tok_id != len(tokens) + 1:
             raise ConlluError(f"token id {tok_id} where {len(tokens) + 1} was expected", lineno)
         try:
-            head = int(cols[6])
+            head = reference_int(cols[6])
         except ValueError:
             raise ConlluError(f"non-integer HEAD {cols[6]!r}", lineno) from None
         if head < 0:
@@ -218,6 +225,17 @@ class TestParse:
         text = "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n2\tb\t_\tX\t_\t_\t-1\tdep\t_\t_\n"
         with pytest.raises(ConlluError, match="^line 2: negative HEAD -1$"):
             parse_conllu(text)
+
+    @pytest.mark.parametrize("bad", ["+2", " 2", "0_0", "\u0661"])  # the last: Arabic-Indic one
+    @pytest.mark.parametrize("column", ["id", "head"])
+    def test_integer_that_is_not_ascii_digits_rejected_at_its_line(self, bad, column):
+        # int() takes each of them; ID and HEAD take only ASCII -?[0-9]+
+        if column == "id":
+            token, message = f"{bad}\tb\t_\tX\t_\t_\t1\tdep\t_\t_", "bad token id"
+        else:
+            token, message = f"2\tb\t_\tX\t_\t_\t{bad}\tdep\t_\t_", "non-integer HEAD"
+        with pytest.raises(ConlluError, match=f"^line 2: {message} {re.escape(repr(bad))}$"):
+            parse_conllu(f"1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n{token}\n")
 
     def test_head_out_of_range(self):
         with pytest.raises(ConlluError, match="out of range"):

@@ -1,10 +1,12 @@
 """Model assembly, prediction, and checkpoint tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from arcforge import tensor as T
 from arcforge.conllu import Sentence, Token
 from arcforge.decoders import cle, is_projective
 from arcforge.model import (
@@ -13,8 +15,9 @@ from arcforge.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from arcforge.refiner import num_heads
+from arcforge.refiner import TransformerLayer, num_heads
 from arcforge.training import TrainConfig, sentence_loss
+from chainops import layer_norm, multi_head_attention
 from scalarloss import total
 from treeoracle import is_single_root_tree
 
@@ -35,6 +38,38 @@ def edit_checkpoint_meta(path, edit, part="model"):
     edit(meta if part is None else meta[part])
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
+
+
+def checkpoint_arrays(path):
+    with np.load(path) as z:
+        return {key: z[key] for key in z.files}
+
+
+def transformer_layers(model):
+    """(parameter name prefix, layer) of each transformer layer."""
+    stacks = [("encoder.context.", model.encoder.context),
+              ("refiner_layers.", getattr(model, "refiner_layers", []))]
+    return [(f"{prefix}{i}.", layer) for prefix, stack in stacks for i, layer in enumerate(stack)]
+
+
+# the parameters of a standard transformer layer that version 3 deleted
+FOLDED = ("norm_attn.gain", "norm_attn.bias", "norm_ffn.gain", "norm_ffn.bias", "w_value_proj.bias")
+
+
+def older_layer_forward(layer, x, older):
+    """A standard transformer layer as versions 1 and 2 built it, from
+    chain ops: each layer norm times a gain plus a bias, a value bias and,
+    in version 1, a key bias, all read from ``older``."""
+    def norm(a, which):
+        return layer_norm(a) * older[which + ".gain"] + older[which + ".bias"]
+
+    y = norm(x, "norm_attn")
+    q = T.linear(y, layer.w_query.weight, layer.w_query.bias)
+    k = T.linear(y, layer.w_key.weight, older.get("w_key.bias"))
+    v = T.linear(y, layer.w_value_proj.weight, older["w_value_proj.bias"])
+    x = x + T.linear(multi_head_attention(q, k, v, layer.heads), layer.w_out.weight, layer.w_out.bias)
+    hidden = T.relu(T.linear(norm(x, "norm_ffn"), layer.ffn_in.weight, layer.ffn_in.bias))
+    return x + T.linear(hidden, layer.ffn_out.weight, layer.ffn_out.bias)
 
 
 class TestModelConfig:
@@ -241,8 +276,8 @@ class TestCheckpoint:
     def test_unsupported_version_rejected(self, tmp_path, toy_vocab):
         path = tmp_path / "model.npz"
         save_checkpoint(path, build_model(arc_cfg(toy_vocab), toy_vocab, seed=6), toy_vocab)
-        edit_checkpoint_meta(path, lambda meta: meta.update(version=3), part=None)
-        with pytest.raises(ValueError, match="model.npz: unsupported checkpoint version 3$"):
+        edit_checkpoint_meta(path, lambda meta: meta.update(version=4), part=None)
+        with pytest.raises(ValueError, match="model.npz: unsupported checkpoint version 4$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("kind", ["arcloc", "loc"])
@@ -250,7 +285,9 @@ class TestCheckpoint:
             self, tmp_path, toy_corpus, toy_vocab, kind):
         # version 1 also held the key, score and filter biases and, with
         # biaffine_bias, the arc weight's head-side ones row; give them
-        # N(0, 1) values, which no parse may depend on
+        # N(0, 1) values, which no parse may depend on. Like version 2, it
+        # also held each layer's norm affines and value bias, here at their
+        # initial values, which fold to nothing.
         if kind == "arcloc":
             model = build_model(arc_cfg(toy_vocab, layers=2, k=2), toy_vocab, seed=6)
             deleted = {"encoder.context.0.w_key.bias": 32, "refiner_layers.0.w_key.bias": 16,
@@ -265,10 +302,13 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(path, model, toy_vocab)
         rng = np.random.default_rng(1)
-        with np.load(path) as z:
-            arrays = {key: z[key] for key in z.files}
+        arrays = checkpoint_arrays(path)
         for name, width in deleted.items():
             arrays[f"param:{name}"] = rng.normal(size=width)
+        for prefix, layer in transformer_layers(model):
+            width = layer.w_query.weight.data.shape[0]
+            for key in FOLDED:
+                arrays[f"param:{prefix}{key}"] = np.ones(width) if key.endswith("gain") else np.zeros(width)
         if kind == "loc":
             arc = arrays["param:scorer.arc_weight"]
             arrays["param:scorer.arc_weight"] = np.vstack([arc, rng.normal(size=(1, 9))])
@@ -286,6 +326,77 @@ class TestCheckpoint:
             for sent in toy_corpus[1][:4]:
                 assert (loaded.predict(sent, vocab, decoder=decoder)
                         == model.predict(sent, toy_vocab, decoder=decoder))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("kind", ["arcloc", "loc"])
+    def test_older_checkpoint_folds_the_deleted_layer_parameters(
+            self, tmp_path, toy_corpus, toy_vocab, monkeypatch, kind, version):
+        # N(0, 1) values in every deleted layer parameter and every bias a
+        # fold adds to: the loaded model scores as the older layer did
+        if kind == "arcloc":
+            cfg = arc_cfg(toy_vocab, layers=2, k=2)
+        else:
+            cfg = ModelConfig(kind="loc", n_labels=toy_vocab.n_labels, emb_dim=32,
+                              context_layers=1, x=8, y=8, mlp_dropout=0.0)
+        model = build_model(cfg, toy_vocab, seed=6)
+        model.eval()
+        rng = np.random.default_rng(2)
+        path = tmp_path / "model.npz"
+        older = {}
+        for prefix, layer in transformer_layers(model):
+            for lin in (layer.w_query, layer.w_out, layer.ffn_in, layer.ffn_out):
+                lin.bias.data = rng.normal(size=lin.bias.data.shape)
+            width = layer.w_query.weight.data.shape[0]
+            keys = FOLDED + (("w_key.bias",) if version == 1 else ())
+            older[layer] = {key: T.Tensor(rng.normal(size=width)) for key in keys}
+        save_checkpoint(path, model, toy_vocab)
+        arrays = checkpoint_arrays(path)
+        for prefix, layer in transformer_layers(model):
+            arrays.update({f"param:{prefix}{key}": t.data for key, t in older[layer].items()})
+        np.savez(path, **arrays)
+        edit_checkpoint_meta(path, lambda meta: meta.update(version=version), part=None)
+        loaded, vocab, _ = load_checkpoint(path)
+        loaded.eval()
+        sentences = toy_corpus[1][:10]
+        got = [(loaded.forward_parse(s, vocab).scores.data,
+                [loaded.predict(s, vocab, decoder=d) for d in ("eisner", "mst")]) for s in sentences]
+        monkeypatch.setattr(TransformerLayer, "forward",
+                            lambda layer, x: older_layer_forward(layer, x, older[layer]))
+        for sent, (scores, parses) in zip(sentences, got):
+            want = model.forward_parse(sent, toy_vocab).scores.data
+            assert np.max(np.abs(scores - want)) <= 1e-12 * np.max(np.abs(want))
+            assert parses == [model.predict(sent, toy_vocab, decoder=d) for d in ("eisner", "mst")]
+
+    @pytest.mark.parametrize("key", FOLDED)
+    def test_version_3_checkpoint_with_a_deleted_parameter_rejected(self, tmp_path, toy_vocab, key):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(arc_cfg(toy_vocab), toy_vocab, seed=6), toy_vocab)
+        arrays = checkpoint_arrays(path)
+        arrays[f"param:encoder.context.0.{key}"] = np.zeros(32)
+        np.savez(path, **arrays)
+        message = rf"model.npz: bad parameters: .*unexpected \['encoder.context.0.{key}'\]$"
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("gain, error", [
+        (None, "KeyError('encoder.context.0.norm_attn.gain')"),
+        # a one-entry gain would broadcast over every weight row
+        (np.ones(1), "ValueError('encoder.context.0.norm_attn.gain has shape (1,)')"),
+    ], ids=["missing", "one-entry"])
+    def test_version_2_checkpoint_with_bad_layer_parameters_rejected(
+            self, tmp_path, toy_vocab, gain, error):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(arc_cfg(toy_vocab), toy_vocab, seed=6), toy_vocab)
+        if gain is not None:
+            arrays = checkpoint_arrays(path)
+            for key in FOLDED:
+                arrays[f"param:encoder.context.0.{key}"] = np.zeros(32)
+            arrays["param:encoder.context.0.norm_attn.gain"] = gain
+            np.savez(path, **arrays)
+        edit_checkpoint_meta(path, lambda meta: meta.update(version=2), part=None)
+        message = f"model.npz: bad parameters: cannot fold version 2: {error}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"

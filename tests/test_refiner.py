@@ -280,6 +280,13 @@ class TestTransformerLayer:
             layer = TransformerLayer(r, heads, np.random.default_rng(0), exact_counts=True)
             assert sum(p.data.size for p in layer.parameters()) == 9 * r * r
 
+    def test_standard_param_count_various(self):
+        # affine-free layer norms and no key or value bias: the projections
+        # (4 r^2 + 2r) and the FFN (8 r^2 + 5r)
+        for r, heads in ((2, 1), (4, 1), (16, 1), (32, 2)):
+            layer = TransformerLayer(r, heads, np.random.default_rng(0))
+            assert sum(p.data.size for p in layer.parameters()) == 12 * r * r + 7 * r
+
     def test_heads_must_divide(self):
         with pytest.raises(ValueError, match="divide"):
             TransformerLayer(6, 4, np.random.default_rng(0))

@@ -247,18 +247,18 @@ class TestLayerNorm:
             layer_norm(tt([[1.0]]))
 
 
-def chain_attention_sublayer(x, gain, bias, query, key, value, out, heads):
+def chain_attention_sublayer(x, query, key, value, out, heads):
     """The chain of ops that ``attention_sublayer`` replaces, kept as its
     oracle."""
-    y = layer_norm(x, gain, bias)
+    y = layer_norm(x)
     q, k, v = (y if pair is None else T.linear(y, *pair) for pair in (query, key, value))
     mixed = multi_head_attention(q, k, v, heads)
     return x + (mixed if out is None else T.linear(mixed, *out))
 
 
-def chain_ffn_sublayer(x, gain, bias, hidden, out):
+def chain_ffn_sublayer(x, hidden, out):
     """The chain of ops that ``ffn_sublayer`` replaces, kept as its oracle."""
-    return x + T.linear(T.relu(T.linear(layer_norm(x, gain, bias), *hidden)), *out)
+    return x + T.linear(T.relu(T.linear(layer_norm(x), *hidden)), *out)
 
 
 def _sublayer_params(rng, width, heads, exact_counts, dtype):
@@ -267,17 +267,15 @@ def _sublayer_params(rng, width, heads, exact_counts, dtype):
     def param(*shape):
         return typed(rng.normal(size=shape), dtype)
 
-    def proj(n_in, n_out):
-        return (param(n_in, n_out), None if exact_counts else param(n_out))
-
-    def norm():
-        return (None, None) if exact_counts else (param(width), param(width))
+    def proj(n_in, n_out, bias=not exact_counts):
+        return (param(n_in, n_out), param(n_out) if bias else None)
 
     if exact_counts:
-        attention = (None, None, (param(width, width), None), None)
-    else:
-        attention = tuple(proj(width, width) for _ in range(4))
-    return (*norm(), *attention, heads), (*norm(), proj(width, 4 * width), proj(4 * width, width))
+        attention = (None, None, proj(width, width), None)
+    else:  # the key and value projections have no bias
+        attention = (proj(width, width), proj(width, width, False), proj(width, width, False),
+                     proj(width, width))
+    return (*attention, heads), (proj(width, 4 * width), proj(4 * width, width))
 
 
 def _leaves(args):
@@ -436,9 +434,9 @@ class TestAttentionStacks:
             weight = typed(rng.normal(size=(t, width)), dtype, grad=False)
             _aim_head_bounds(q.data, k.data, heads, hot, rng, [q.data])
             if not exact_counts:  # the exact-counts layer attends with layer norm's output
-                gain, bias, query, key = attn_args[:4]
-                y = T._layer_norm_forward(x.data, gain.data, bias.data)[0]
-                qy, ky = (T._linear_forward(y, w.data, b.data) for w, b in (query, key))
+                query, key = attn_args[:2]
+                y = T._layer_norm_forward(x.data)[0]
+                qy, ky = (T._linear_forward(y, w.data, T._data(b)) for w, b in (query, key))
                 _aim_head_bounds(qy, ky, heads, hot, rng, [query[0].data, query[1].data])
             values = []
             with pytest.MonkeyPatch.context() as mp, \
@@ -460,8 +458,8 @@ class TestAttentionStacks:
 
         got, want = run(False), run(True)
         # two outputs; recorded: the gradients of q, k, v, x and the
-        # sublayer's 1 or 10 parameters
-        assert len(got) == len(want) == 2 + record * (4 + (1 if exact_counts else 10))
+        # sublayer's 1 or 6 parameters
+        assert len(got) == len(want) == 2 + record * (4 + (1 if exact_counts else 6))
         for a, b, scale in zip(got, want, _scales(want[:2], want[2:])):
             assert a.dtype == b.dtype == dtype and a.shape == b.shape
             assert np.max(np.abs(a - b)) <= ORACLE_GAP[dtype] * scale
@@ -491,8 +489,8 @@ def _guard_cases():
     exact_args, _ = _sublayer_params(rng, 4, 2, True, np.float64)
     bad_query = (z(4, 2), None)
     bad_rows = (z(3, 4), z(4))
-    gain, bias, query, key, value, out, heads = attn_args
-    ln_gain, ln_bias, hidden, ffn_out = ffn_args
+    query, key, value, out, heads = attn_args
+    hidden, ffn_out = ffn_args
     # queries inf * 1 and keys -1 * 1 score -inf against every key
     inf_query = (z(4, 4), tt([np.inf, 0.0, 0.0, 0.0]))
     neg_key = (z(4, 4), tt([-1.0, 0.0, 0.0, 0.0]))
@@ -503,15 +501,15 @@ def _guard_cases():
         ("linear-1d-exact", lambda: T.linear(z(3, 4), z(4)),
          lambda: T.attention_sublayer(tt(rng.normal(size=4)), *exact_args), "2-D operands"),
         ("linear-rows", lambda: T.linear(z(3, 4), z(3, 4)),
-         lambda: T.ffn_sublayer(x, ln_gain, ln_bias, bad_rows, ffn_out), r"mismatch: \(3, 4\) @ \(3, 4\)"),
+         lambda: T.ffn_sublayer(x, bad_rows, ffn_out), r"mismatch: \(3, 4\) @ \(3, 4\)"),
         ("layer-norm-width", lambda: layer_norm(z(3, 1)),
          lambda: T.attention_sublayer(z(3, 1), *exact_args), "at least 2 features"),
         ("attention-shapes", lambda: multi_head_attention(z(3, 2), z(3, 4), z(3, 4), 2),
-         lambda: T.attention_sublayer(x, gain, bias, bad_query, key, value, out, heads), "equal 2-D"),
+         lambda: T.attention_sublayer(x, bad_query, key, value, out, heads), "equal 2-D"),
         ("attention-heads", lambda: multi_head_attention(z(3, 4), z(3, 4), z(3, 4), 3),
-         lambda: T.attention_sublayer(x, gain, bias, query, key, value, out, 3), "does not divide"),
+         lambda: T.attention_sublayer(x, query, key, value, out, 3), "does not divide"),
         ("attention-masked", lambda: multi_head_attention(tt(np.full((3, 4), np.inf)), tt(-np.ones((3, 4))), z(3, 4), 1),
-         lambda: T.attention_sublayer(x, gain, bias, inf_query, neg_key, value, out, 1), "all -inf"),
+         lambda: T.attention_sublayer(x, inf_query, neg_key, value, out, 1), "all -inf"),
     ]
 
 
@@ -797,7 +795,7 @@ class TestBackwardConsumesGraph:
                 if id(p) not in seen:
                     seen.add(id(p))
                     stack.append(p)
-        assert len(seen) == 103
+        assert len(seen) == 88
 
 
 class TestTiledAttentionInTheBenchModel:
@@ -980,10 +978,7 @@ def _gradcheck_cases():
         cases.append((f"relu/{i}", x, lambda x=x: total(T.relu(x))))
     for i in range(3):
         x = rand(3, int(rng.integers(4, 9)))
-        g, b = rand(x.data.shape[1]), rand(x.data.shape[1])
-        cases.append((f"layernorm-x/{i}", x, lambda x=x, g=g, b=b: total(layer_norm(x, g, b) * layer_norm(x, g, b))))
-        cases.append((f"layernorm-gain/{i}", g, lambda x=x, g=g, b=b: total(layer_norm(x, g, b))))
-        cases.append((f"layernorm-bias/{i}", b, lambda x=x, g=g, b=b: total(layer_norm(x, g, b) * layer_norm(x, g, b))))
+        cases.append((f"layernorm-x/{i}", x, lambda x=x: total(layer_norm(x) * layer_norm(x))))
     for i in range(2):
         x = rand(4, 3)
         cases.append((f"add-broadcast/{i}", x, lambda x=x, b=rand(3): total((x + b) * (x + b))))
@@ -1047,9 +1042,7 @@ def _op_family_case(op, rng):
         return x, lambda: total(T.relu(x) * T.relu(x))
     if op == "layer_norm":
         x = rand(int(rng.integers(2, 5)), int(rng.integers(3, 9)))
-        g, b = rand(x.data.shape[1]), rand(x.data.shape[1])
-        theta = [x, g, b][int(rng.integers(3))]
-        return theta, lambda: total(layer_norm(x, g, b) * layer_norm(x, g, b))
+        return x, lambda: total(layer_norm(x) * layer_norm(x))
     if op == "cross_entropy":
         t, c = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         logits = rand(t, c)
