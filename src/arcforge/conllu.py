@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .decoders import check_tree
 
-_SKIPPED_ID = re.compile(r"\d+-\d+|\d+\.\d+")  # multiword-token ranges and empty nodes
+_SKIPPED_ID = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")  # multiword-token ranges and empty nodes
 _BREAK = re.compile(r"\n\r?\n")  # a line end followed by a blank or CR-only line
 _INT = re.compile(r"-?[0-9]+")  # int() would also take "+2", " 2", "0_0" and non-ASCII digits
 

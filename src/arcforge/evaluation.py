@@ -15,9 +15,7 @@ def _counted(upos: str, policy: str) -> bool:
         return True
     if policy == "upos":
         return upos != "PUNCT"
-    if policy == "pos-set":
-        return upos not in PUNCT_POS_SET
-    raise ValueError(f"unknown punctuation policy {policy!r}; expected one of {PUNCT_POLICIES}")
+    return upos not in PUNCT_POS_SET  # "pos-set"
 
 
 def uas_las(predictions: list[tuple[list[int], list[str]]],
@@ -27,6 +25,8 @@ def uas_las(predictions: list[tuple[list[int], list[str]]],
     head and label (LAS). Tokens dropped by the punctuation policy count
     in neither numerator nor denominator.
     """
+    if punct_policy not in PUNCT_POLICIES:
+        raise ValueError(f"unknown punctuation policy {punct_policy!r}; expected one of {PUNCT_POLICIES}")
     if len(predictions) != len(gold_sentences):
         raise ValueError(f"{len(predictions)} predictions for {len(gold_sentences)} gold sentences")
     total = correct_heads = correct_both = 0

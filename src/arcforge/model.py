@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,8 @@ from .scorers import ArcScorer, LocScorer
 from .tensor import Tensor, embedding_gather, no_grad
 
 CHECKPOINT_FORMAT = "arcforge-checkpoint"
+# A change to the parameter set bumps the version; a file of any other
+# version is refused, not migrated.
 CHECKPOINT_VERSION = 3
 
 DECODERS = ("eisner", "mst")  # projective Eisner, or Chu-Liu-Edmonds
@@ -286,22 +288,17 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
                 state = {key[len("param:"):]: z[key] for key in z.files if key.startswith("param:")}
         except Exception as exc:
             raise ValueError(f"{path}: not an arcforge checkpoint") from exc
-    if meta.get("version") not in (1, 2, CHECKPOINT_VERSION):
-        raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+    version = meta.get("version")
+    if not (type(version) is int and version == CHECKPOINT_VERSION):  # true == 1 and 3.0 == 3
+        raise ValueError(f"{path}: unsupported checkpoint version {json.dumps(version)}")
     if not isinstance(stored, dict):
         raise ValueError(f"{path}: model must be a JSON object")
     tables = [f.name for f in fields(Vocab)]
     if not (isinstance(vocab_data, dict) and all(isinstance(vocab_data.get(t), dict) for t in tables)):
         raise ValueError(f"{path}: vocab must be a JSON object holding objects {', '.join(tables)}")
-    # a checkpoint that predates the dtype key holds its parameters in it
-    stored.setdefault("dtype", next((a.dtype.name for a in state.values()), "float64"))
-    # one written while train_noise was a key: false meant no filter noise
-    if not stored.pop("train_noise", True):
-        stored["gumbel_scale"] = 0.0
     annotations = {f.name: f.type for f in fields(ModelConfig)}
     problems = [f"unknown key {k!r}" for k in sorted(set(stored) - set(annotations))]
-    problems += [f"missing key {f.name!r}" for f in fields(ModelConfig)
-                 if f.default is MISSING and f.name not in stored]
+    problems += [f"missing key {k!r}" for k in annotations if k not in stored]
     problems += [f"{k!r} must be {annotations[k]}, got {json.dumps(v)}" for k, v in stored.items()
                  if k in annotations and not _accepts(annotations[k], v)]
     if problems:
@@ -316,62 +313,8 @@ def load_checkpoint(path) -> tuple[_ParserBase, Vocab, dict]:
         raise ValueError(f"{path}: bad vocab: {exc}") from None
     model = build_model(cfg, vocab, seed=0)
     try:
-        if meta["version"] == 1:
-            _drop_version_1_biases(state, cfg)
-        if meta["version"] < 3:
-            _fold_version_2_affines(state, model)
-    except (KeyError, TypeError, ValueError) as exc:  # a folded array missing, or of the wrong shape or type
-        raise ValueError(f"{path}: bad parameters: cannot fold version {meta['version']}: {exc!r}") from None
-    try:
         model.load_state(state)
     except ValueError as exc:
         raise ValueError(f"{path}: bad parameters: {exc}") from None
     return model, vocab, extra
 
-
-def _drop_version_1_biases(state: dict[str, np.ndarray], cfg: ModelConfig) -> None:
-    """Drop from a version-1 state the parameters that version 2 deleted:
-    each added a constant that every consumer cancels, so no parse reads it."""
-    for key in [k for k in state if k.endswith(".w_key.bias")
-                or k in ("scorer.score_out.bias", "scorer.filter_head.bias")]:
-        del state[key]
-    arc = state.get("scorer.arc_weight")
-    if cfg.kind == "loc" and cfg.biaffine_bias and np.shape(arc) == (cfg.x + 1, cfg.x + 1):
-        state["scorer.arc_weight"] = arc[:cfg.x]
-
-
-def _fold_version_2_affines(state: dict[str, np.ndarray], model: _ParserBase) -> None:
-    """Fold into their neighbouring projections the parameters that
-    version 3 deleted from each standard transformer layer: the layer
-    norms' gains and biases and the value bias. A norm feeds only
-    projections, so its gain scales their weight rows and its bias adds
-    its product with their (unscaled) weights to their biases; the key
-    projection's share of that bias shifts a whole softmax row and is
-    dropped. The value bias, and the value projection's share of the
-    norm bias, pass through attention unchanged (its rows sum to 1), so
-    their product with the output weights joins the output bias."""
-    for name, p in model.named_parameters():
-        if not name.endswith(".w_value_proj.weight"):
-            continue
-        layer = name[:-len("w_value_proj.weight")]
-
-        def take(key):  # a layer-wide vector, which must not broadcast
-            arr = state.pop(layer + key)
-            if arr.shape != p.data.shape[:1]:
-                raise ValueError(f"{layer + key} has shape {arr.shape}")
-            return arr
-
-        def weight(proj):
-            return state[layer + proj + ".weight"]
-
-        def add_to_bias(proj, shift):
-            state[layer + proj + ".bias"] = state[layer + proj + ".bias"] + shift
-
-        gain, bias = take("norm_attn.gain"), take("norm_attn.bias")
-        add_to_bias("w_out", (bias @ weight("w_value_proj") + take("w_value_proj.bias")) @ weight("w_out"))
-        add_to_bias("w_query", bias @ weight("w_query"))
-        for proj in ("w_query", "w_key", "w_value_proj"):
-            state[layer + proj + ".weight"] = gain[:, None] * weight(proj)
-        gain, bias = take("norm_ffn.gain"), take("norm_ffn.bias")
-        add_to_bias("ffn_in", bias @ weight("ffn_in"))
-        state[layer + "ffn_in.weight"] = gain[:, None] * weight("ffn_in")

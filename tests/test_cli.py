@@ -308,8 +308,10 @@ class TestTrainParseEvalPipeline:
          "bad vocab: label_to_id ids must be the ints 0.."),
         (lambda m: m["vocab"].update(upos_to_id={k: i + 0.5 for k, i in m["vocab"]["upos_to_id"].items()}),
          "bad vocab: upos_to_id ids must be the ints 2.."),
+        (lambda m: m.update(version=2), "unsupported checkpoint version 2"),
     ], ids=["str-width", "float-k", "str-flag", "model-list", "no-label-table", "dropout-one",
-            "zero-heads", "zero-labels", "negative-layers", "zero-k", "shifted-labels", "float-upos"])
+            "zero-heads", "zero-labels", "negative-layers", "zero-k", "shifted-labels", "float-upos",
+            "version-2"])
     def test_bad_checkpoint_values_rejected(self, trained_toy, tmp_path, capsys, edit, message):
         model_path, _, dev_path, _ = trained_toy
         bad_path = save_with_meta(model_path, str(tmp_path / "bad.npz"), edit)

@@ -45,7 +45,7 @@ def reference_check_tree(heads):
     return len(seen) == n + 1
 
 
-_REFERENCE_SKIPPED_ID = re.compile(r"\d+-\d+|\d+\.\d+")
+_REFERENCE_SKIPPED_ID = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")
 
 
 def reference_int(s):
@@ -263,10 +263,12 @@ class TestParse:
         with pytest.raises(ConlluError, match="line 4: token id 3 where 1 was expected"):
             parse_conllu(TWO_TOKENS + "\n3\tc\t_\tX\t_\t_\t0\troot\t_\t_\n")
 
-    @pytest.mark.parametrize("bad_id", ["x-y", "1-", "-1", "2.", "1.x", "1-2-3"])
+    # the last two: a range and an empty node of Arabic-Indic digits
+    @pytest.mark.parametrize("bad_id", ["x-y", "1-", "-1", "2.", "1.x", "1-2-3", "\u0661-\u0662", "1.\u0661"])
     def test_malformed_range_or_node_id_rejected_at_its_line(self, bad_id):
         text = f"1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n{bad_id}\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n"
-        with pytest.raises(ConlluError, match="line 2: "):
+        message = "token id -1 where 2 was expected" if bad_id == "-1" else f"bad token id {bad_id!r}"
+        with pytest.raises(ConlluError, match=f"^line 2: {re.escape(message)}$"):
             parse_conllu(text)
 
     def test_head_error_after_multiword_line_names_its_own_line(self):

@@ -82,6 +82,8 @@ class TestUasLas:
         pred = [(gold[0].gold_heads, gold[0].gold_labels)]
         with pytest.raises(ValueError, match="policy"):
             uas_las(pred, gold, "discard")
+        with pytest.raises(ValueError, match="unknown punctuation policy 'bogus'"):
+            uas_las([], [], "bogus")
 
 
 class TestFilterOracle:
