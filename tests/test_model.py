@@ -219,13 +219,23 @@ class TestCheckpoint:
             assert arr.dtype == np.float32, name
             assert arr.tobytes() == saved[name].tobytes(), name
 
-    @pytest.mark.parametrize("key", [f.name for f in fields(ModelConfig)])
+    @pytest.mark.parametrize("key", [f.name for f in fields(ModelConfig) if f.name != "dtype"])
     def test_checkpoint_without_a_config_key_rejected(self, tmp_path, toy_vocab, key):
-        # save_checkpoint writes every key, so a file without dtype is refused, not read as float64
+        # save_checkpoint writes every key; dtype is checked per dtype below
         path = tmp_path / "model.npz"
         save_checkpoint(path, build_model(arc_cfg(toy_vocab), toy_vocab, seed=6), toy_vocab)
         edit_checkpoint_meta(path, lambda m: m.pop(key))
         with pytest.raises(ValueError, match=f"model.npz: bad model config: missing key '{key}'$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_checkpoint_without_dtype_key_rejected(self, tmp_path, toy_vocab, dtype):
+        # refused whatever its arrays' dtype, not read as float64
+        model = build_model(arc_cfg(toy_vocab, dtype=dtype), toy_vocab, seed=6)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, toy_vocab)
+        edit_checkpoint_meta(path, lambda m: m.pop("dtype"))
+        with pytest.raises(ValueError, match="model.npz: bad model config: missing key 'dtype'$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("version, shown", [
